@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import singular_vertices
-from .transition import strongly_connected_components
+from .transition import has_branching_cycles
 from .util import canonical_lasso
 
 
@@ -58,11 +58,6 @@ class InfinitePath:
             tuple(e.label for e in self.prefix),
             tuple(e.label for e in self.cycle),
         )
-
-    def edge_at(self, n):
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        return self.cycle[(n - len(self.prefix) - 1) % len(self.cycle)]
 
     def sort_key(self):
         return (
@@ -154,36 +149,24 @@ def _closed_edge_walks(g, bound):
     return walks
 
 
+def _backward_chains(g, head, max_len):
+    """Every edge chain of length at most ``max_len`` that ends at ``head``,
+    shortest first, starting with the empty chain."""
+    chains = [()]
+    yield ()
+    for _ in range(max_len):
+        chains = [(e,) + c for c in chains for e in g.edges_into(c[0].src if c else head)]
+        yield from chains
+
+
 def _infinite_boundary_paths(g, max_len, max_cycle):
     found = {}
     for cycle in _closed_edge_walks(g, max_cycle):
-        start = cycle[0].src
-        path = make_infinite_path(g, (), cycle)
-        if len(path.prefix) <= max_len and len(path.cycle) <= max_cycle:
-            found.setdefault((path.prefix, path.cycle), path)
-        prefixes = [[]]
-        for _ in range(max_len):
-            nxt = []
-            for chain in prefixes:
-                head = chain[0].src if chain else start
-                for e in g.edges:
-                    if e.dst == head:
-                        nxt.append([e] + chain)
-            prefixes = nxt
-            for chain in nxt:
-                path = make_infinite_path(g, chain, cycle)
-                if len(path.prefix) <= max_len and len(path.cycle) <= max_cycle:
-                    found.setdefault((path.prefix, path.cycle), path)
+        for chain in _backward_chains(g, cycle[0].src, max_len):
+            path = make_infinite_path(g, chain, cycle)
+            if len(path.prefix) <= max_len and len(path.cycle) <= max_cycle:
+                found.setdefault((path.prefix, path.cycle), path)
     return tuple(sorted(found.values(), key=InfinitePath.sort_key))
-
-
-def graph_has_branching_cycles(g):
-    edges = tuple((e.src, e.label, e.dst) for e in g.edges)
-    for comp in strongly_connected_components(g.vertices, edges):
-        internal = [e for e in g.edges if e.src in comp and e.dst in comp]
-        if internal and len(internal) > len(comp):
-            return True
-    return False
 
 
 def boundary_paths(g, max_len, max_cycle):
@@ -193,7 +176,7 @@ def boundary_paths(g, max_len, max_cycle):
     return BoundaryReport(
         _finite_boundary_paths(g, max_len),
         _infinite_boundary_paths(g, max_len, max_cycle),
-        graph_has_branching_cycles(g),
+        has_branching_cycles(g.vertices, tuple((e.src, e.label, e.dst) for e in g.edges)),
     )
 
 
@@ -242,22 +225,10 @@ def isolated_points(g, max_prefix):
     for cycle in _deterministic_cycles(g):
         for phase in range(len(cycle)):
             rotated = cycle[phase:] + cycle[:phase]
-            path = make_infinite_path(g, (), rotated)
-            if len(path.prefix) <= max_prefix:
-                infinite.setdefault((path.prefix, path.cycle), path)
-            prefixes = [[]]
-            for _ in range(max_prefix):
-                nxt = []
-                for chain in prefixes:
-                    head = chain[0].src if chain else rotated[0].src
-                    for e in g.edges:
-                        if e.dst == head:
-                            nxt.append([e] + chain)
-                prefixes = nxt
-                for chain in nxt:
-                    path = make_infinite_path(g, chain, rotated)
-                    if len(path.prefix) <= max_prefix:
-                        infinite.setdefault((path.prefix, path.cycle), path)
+            for chain in _backward_chains(g, rotated[0].src, max_prefix):
+                path = make_infinite_path(g, chain, rotated)
+                if len(path.prefix) <= max_prefix:
+                    infinite.setdefault((path.prefix, path.cycle), path)
     return tuple(
         sorted(finite, key=FinitePath.sort_key)
         + sorted(infinite.values(), key=InfinitePath.sort_key)

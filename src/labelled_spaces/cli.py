@@ -35,6 +35,16 @@ def _load(path):
     return load_graph_file(_resolve(path))
 
 
+def _bound(text):
+    """The argparse type of search bounds: a nonnegative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
+
+
 def _word_arg(fam, text):
     word = parse_word(text)
     fam.graph.check_word(word)
@@ -212,19 +222,19 @@ def build_parser():
     p.add_argument("--word", required=True)
     add("ufgraph", cmd_ufgraph)
     p = add("tight", cmd_tight)
-    p.add_argument("--max-word", type=int, default=4)
-    p.add_argument("--max-cycle", type=int, default=3)
+    p.add_argument("--max-word", type=_bound, default=4)
+    p.add_argument("--max-cycle", type=_bound, default=3)
     p = add("boundary", cmd_boundary)
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--max-cycle", type=int, default=3)
+    p.add_argument("--max-len", type=_bound, default=4)
+    p.add_argument("--max-cycle", type=_bound, default=3)
     p = add("compare", cmd_compare)
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--max-cycle", type=int, default=3)
+    p.add_argument("--max-len", type=_bound, default=4)
+    p.add_argument("--max-cycle", type=_bound, default=3)
     p = add("refute", cmd_refute)
     p.add_argument("--filter", required=True)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_bound, default=4)
     p = add("isolated", cmd_isolated)
-    p.add_argument("--max-prefix", type=int, default=0)
+    p.add_argument("--max-prefix", type=_bound, default=0)
     return parser
 
 

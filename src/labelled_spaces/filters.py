@@ -1,10 +1,22 @@
-"""Filters in restricted algebras and filter families along words.
+"""Filters in restricted algebras and filter towers along words.
 
 Every algebra here is a finite meet-semilattice, so filters are stored by
 their principal generator and the ultrafilters are exactly the up-sets of
 atoms.  A filter in the idempotent semilattice of the triple semigroup is
-described by a word together with a tower of level filters; finite words use
-an explicit tower, infinite eventually periodic words use a lasso.
+described by a word together with a tower of level filters tied together by
+the preimage map of each letter; finite words use an explicit tower
+(``FiniteFilterFamily``), infinite eventually periodic words a lasso
+(``LassoFilterFamily``).
+
+Both kinds share one tower core: ``_preimage_gen`` is the one preimage scan
+and ``_reaches`` the one "some deeper level filter pulls back to this set"
+walk; admissibility, completeness, completion and membership are built from
+them once and bound into both classes.  The core reads a tower only through
+``fam``, ``letter(n)``, ``gen_at(n)``, ``algebra_at(n)``, ``levels()``,
+``_check_levels()`` (the level pairs (n, m) tied by letter n+1),
+``_phase(n)`` (equal phases mean equal generators followed by equal letters;
+None at the end of a finite word) and ``_with_gens(gens)`` (the tower on the
+same word with new generators).
 """
 
 from dataclasses import dataclass
@@ -65,13 +77,21 @@ def all_filters(algebra):
     )
 
 
-def _principal_or_none(algebra, members):
+def _generator(members):
+    """The least element of a filter given by its members, None when empty."""
     if not members:
         return None
     gen = reduce(lambda a, b: a & b, members)
     if gen not in members:
         raise DomainError("filter preimage is not principal; family is not usable here")
-    return PrincipalFilter(algebra, gen)
+    return gen
+
+
+def _preimage_gen(fam, source, gen, beta):
+    """Generator of {A in source : gen <= r(A, beta)}, the preimage of the
+    filter generated by ``gen`` under A |-> r(A, beta); None when empty."""
+    fam.require_wlr()
+    return _generator([a for a in source.elements if a and gen <= fam.rel_range(a, beta)])
 
 
 def preimage_filter(fam, alpha, beta, flt):
@@ -86,8 +106,76 @@ def preimage_filter(fam, alpha, beta, flt):
     if flt.algebra != fam.algebra(alpha + beta):
         raise DomainError("filter does not live over the word %s" % format_word(alpha + beta))
     source = fam.algebra(alpha)
-    members = [a for a in source.elements if a and flt.gen <= fam.rel_range(a, beta)]
-    return _principal_or_none(source, members)
+    gen = _preimage_gen(fam, source, flt.gen, beta)
+    return None if gen is None else PrincipalFilter(source, gen)
+
+
+def _reaches(tower, n, vset):
+    """Whether r(vset, w_{n+1..m}) contains gen_m for some level m >= n.
+
+    The walk ends at the end of a finite word, or when a (phase, set) state
+    repeats: from there on it could only cycle."""
+    seen = set()
+    while vset:
+        gen = tower.gen_at(n)
+        if gen is not None and gen <= vset:
+            return True
+        state = (tower._phase(n), vset)
+        if state[0] is None or state in seen:
+            return False
+        seen.add(state)
+        n += 1
+        vset = tower.fam.rel_range(vset, (tower.letter(n),))
+    return False
+
+
+def _filter_at(tower, n):
+    gen = tower.gen_at(n)
+    return None if gen is None else PrincipalFilter(tower.algebra_at(n), gen)
+
+
+def _is_admissible(tower):
+    """F_n <= the preimage of F_m at every checked level pair.  By
+    principality it suffices to test the generators."""
+    return all(
+        tower.gen_at(n) is None
+        or tower.gen_at(m) <= tower.fam.rel_range(tower.gen_at(n), (tower.letter(n + 1),))
+        for n, m in tower._check_levels()
+    )
+
+
+def _is_complete(tower):
+    """F_n equals the preimage of F_m at every checked level pair."""
+    if tower._complete is None:
+        tower._complete = all(
+            _preimage_gen(tower.fam, tower.algebra_at(n), tower.gen_at(m), (tower.letter(n + 1),))
+            == tower.gen_at(n)
+            for n, m in tower._check_levels()
+        )
+    return tower._complete
+
+
+def _completion(tower):
+    """The smallest complete tower above an admissible one: level n holds
+    every set that some deeper level filter pulls back to."""
+    if not tower.is_admissible():
+        raise DomainError("completion requires an admissible family")
+    tower.fam.require_wlr()
+    return tower._with_gens([
+        _generator([a for a in tower.algebra_at(n).elements if a and _reaches(tower, n, a)])
+        for n in tower.levels()
+    ])
+
+
+def _contains_idempotent(tower, p):
+    """Membership of an idempotent in the induced filter in E(S)."""
+    if p.is_zero or not is_word_prefix(tower, p.alpha):
+        return False
+    i = len(p.alpha)
+    if tower.is_complete():
+        gen = tower.gen_at(i)
+        return gen is not None and gen <= p.vset
+    return _reaches(tower, i, p.vset)
 
 
 class FiniteFilterFamily:
@@ -131,10 +219,9 @@ class FiniteFilterFamily:
         gens[len(word)] = frozenset(top_gen)
         for n in range(len(word) - 1, -1, -1):
             flt = PrincipalFilter(fam.algebra(word[:n + 1]), gens[n + 1])
-            pre = preimage_filter(fam, word[:n], (word[n],), flt)
-            if pre is None and n > 0:
+            gens[n] = _preimage_gen(fam, fam.algebra(word[:n]), flt.gen, (word[n],))
+            if gens[n] is None and n > 0:
                 raise DomainError("level %d filter is empty; tower is not valid" % n)
-            gens[n] = None if pre is None else pre.gen
         return cls(fam, word, gens)
 
     @property
@@ -153,10 +240,6 @@ class FiniteFilterFamily:
     def gen_at(self, n):
         return self.gens[n]
 
-    def filter_at(self, n):
-        g = self.gens[n]
-        return None if g is None else PrincipalFilter(self.algebra_at(n), g)
-
     def top_gen(self):
         return self.gens[-1]
 
@@ -166,69 +249,17 @@ class FiniteFilterFamily:
     def _check_levels(self):
         return [(n, n + 1) for n in range(len(self.word))]
 
-    def is_admissible(self):
-        """F_n <= the preimage of F_{n+1} at every level.  By principality it
-        suffices to test the generators."""
-        for n, m in self._check_levels():
-            if self.gens[n] is None:
-                continue
-            if self.gens[m] is None:
-                return False
-            if not self.gens[m] <= self.fam.rel_range(self.gens[n], (self.letter(m),)):
-                return False
-        return True
+    def _phase(self, n):
+        return n if n < len(self.word) else None
 
-    def is_complete(self):
-        if self._complete is None:
-            self._complete = self._check_complete()
-        return self._complete
+    def _with_gens(self, gens):
+        return FiniteFilterFamily(self.fam, self.word, gens)
 
-    def _check_complete(self):
-        for n, m in self._check_levels():
-            if self.gens[m] is None:
-                return False
-            flt = PrincipalFilter(self.algebra_at(m), self.gens[m])
-            pre = preimage_filter(self.fam, self.word[:n], (self.letter(m),), flt)
-            pre_gen = None if pre is None else pre.gen
-            if pre_gen != self.gens[n]:
-                return False
-        return True
-
-    def completion(self):
-        """The smallest complete tower above an admissible one."""
-        if not self.is_admissible():
-            raise DomainError("completion requires an admissible family")
-        self.fam.require_wlr()
-        new_gens = []
-        for n in self.levels():
-            algebra = self.algebra_at(n)
-            members = [a for a in algebra.elements if a and self._eventually_reaches(n, a)]
-            flt = _principal_or_none(algebra, members)
-            new_gens.append(None if flt is None else flt.gen)
-        return FiniteFilterFamily(self.fam, self.word, new_gens)
-
-    def _eventually_reaches(self, n, vset):
-        """Whether r(vset, word[n:m]) lands in F_m for some m >= n."""
-        cur = vset
-        for m in range(n, len(self.word) + 1):
-            if m > n:
-                cur = self.fam.rel_range(cur, (self.letter(m),))
-            if not cur:
-                return False
-            if self.gens[m] is not None and self.gens[m] <= cur:
-                return True
-        return False
-
-    def contains_idempotent(self, p):
-        """Membership of an idempotent in the induced filter in E(S)."""
-        if p.is_zero or not is_word_prefix(self, p.alpha):
-            return False
-        i = len(p.alpha)
-        if self.is_complete():
-            if i > len(self.word):
-                return False
-            return self.gens[i] is not None and self.gens[i] <= p.vset
-        return _union_form_membership(self, p)
+    filter_at = _filter_at
+    is_admissible = _is_admissible
+    is_complete = _is_complete
+    completion = _completion
+    contains_idempotent = _contains_idempotent
 
     def sort_key(self):
         return (0, len(self.word), self.word, vkey(self.gens[-1] or ()))
@@ -296,10 +327,7 @@ class LassoFilterFamily:
                     % (n, format_vset(g))
                 )
         if f0_gen is _DERIVE:
-            flt = preimage_filter(
-                fam, (), (self.letter(1),), PrincipalFilter(self.algebra_at(1), self.gen_at(1))
-            )
-            self.f0_gen = None if flt is None else flt.gen
+            self.f0_gen = _preimage_gen(fam, self.algebra_at(0), self.gen_at(1), (self.letter(1),))
         else:
             self.f0_gen = None if f0_gen is None else frozenset(f0_gen)
             if self.f0_gen is not None and (
@@ -340,11 +368,9 @@ class LassoFilterFamily:
             raise DomainError("the lasso word leaves the labelled paths at level %d" % n)
         return self.fam.algebra_over(rng)
 
-    def filter_at(self, n):
-        g = self.gen_at(n)
-        return None if g is None else PrincipalFilter(self.algebra_at(n), g)
-
     def _phase(self, n):
+        """Levels with equal phases carry equal generators and are followed
+        by equal letters; level 0 has a phase of its own."""
         p, c = self.prefix_len, self.cycle_len
         return ("pre", n) if n <= p else ("cyc", (n - p - 1) % c)
 
@@ -356,10 +382,9 @@ class LassoFilterFamily:
         n = 1
         while True:
             state = (self._phase(n), self.range_at(n))
-            if state in seen and n > self.prefix_len:
+            if state in seen:
                 return n - 1, seen[state]
-            if state not in seen:
-                seen[state] = n
+            seen[state] = n
             n += 1
 
     def levels(self):
@@ -370,81 +395,25 @@ class LassoFilterFamily:
         pairs.append((self._window_end, self._wrap))
         return pairs
 
-    def is_admissible(self):
-        for n, m in self._check_levels():
-            g = self.gen_at(n)
-            if g is None:
-                continue
-            if not self.gen_at(m) <= self.fam.rel_range(g, (self.letter(n + 1),)):
-                return False
-        return True
-
-    def is_complete(self):
-        if self._complete is None:
-            self._complete = self._check_complete()
-        return self._complete
-
-    def _check_complete(self):
-        for n, m in self._check_levels():
-            flt = PrincipalFilter(self.algebra_at(m), self.gen_at(m))
-            members = [
-                a
-                for a in self.algebra_at(n).elements
-                if a and flt.gen <= self.fam.rel_range(a, (self.letter(n + 1),))
-            ]
-            pre = _principal_or_none(self.algebra_at(n), members)
-            pre_gen = None if pre is None else pre.gen
-            if pre_gen != self.gen_at(n):
-                return False
-        return True
-
-    def completion(self):
-        if not self.is_admissible():
-            raise DomainError("completion requires an admissible family")
-        new = {}
-        for n in self.levels():
-            algebra = self.algebra_at(n)
-            members = [a for a in algebra.elements if a and self._eventually_reaches(n, a)]
-            flt = _principal_or_none(algebra, members)
-            new[n] = None if flt is None else flt.gen
-        # the completed generators are determined by (cycle phase, range set),
-        # so they repeat over the window period; lay the result out over the
-        # window and let canonicalization shrink the cycle again
+    def _with_gens(self, gens):
+        # for generators fixed by each level's (phase, range set), such as a
+        # completion's, levels [1, wrap) and [wrap, end] are a prefix and a
+        # cycle; canonicalization shrinks the cycle again
         wrap, end = self._wrap, self._window_end
         return LassoFilterFamily(
             self.fam,
-            tuple(self.letter(n) for n in range(1, wrap)),
+            self.word_prefix(wrap - 1),
             tuple(self.letter(n) for n in range(wrap, end + 1)),
-            [new[n] for n in range(1, wrap)],
-            [new[n] for n in range(wrap, end + 1)],
-            f0_gen=new[0],
+            gens[1:wrap],
+            gens[wrap:end + 1],
+            f0_gen=gens[0],
         )
 
-    def _eventually_reaches(self, n, vset):
-        cur = vset
-        m = n
-        seen = set()
-        while True:
-            if m > n:
-                cur = self.fam.rel_range(cur, (self.letter(m),))
-            if not cur:
-                return False
-            g = self.gen_at(m)
-            if g is not None and g <= cur:
-                return True
-            state = (self._phase(max(m, 1)) if m else ("zero",), cur)
-            if m > self.prefix_len and state in seen:
-                return False
-            seen.add(state)
-            m += 1
-
-    def contains_idempotent(self, p):
-        if p.is_zero or not is_word_prefix(self, p.alpha):
-            return False
-        i = len(p.alpha)
-        if self.is_complete():
-            return self.gen_at(i) is not None and self.gen_at(i) <= p.vset
-        return _union_form_membership(self, p)
+    filter_at = _filter_at
+    is_admissible = _is_admissible
+    is_complete = _is_complete
+    completion = _completion
+    contains_idempotent = _contains_idempotent
 
     def node_at(self, n):
         """The transition-graph node (range set, generator) at level n >= 1."""
@@ -523,31 +492,6 @@ def is_word_prefix(family, word):
     if family.is_lasso:
         return all(family.letter(k + 1) == b for k, b in enumerate(word))
     return family.word[: len(word)] == word and len(word) <= len(family.word)
-
-
-def _union_form_membership(family, p):
-    """Membership via the defining union: some deeper level filter must pull
-    below the idempotent.  Used for admissible (not yet complete) towers."""
-    i = len(p.alpha)
-    cur = p.vset
-    n = i
-    seen = set()
-    while True:
-        if n > i:
-            cur = family.fam.rel_range(cur, (family.letter(n),))
-        if not cur:
-            return False
-        g = family.gen_at(n)
-        if g is not None and g <= cur:
-            return True
-        if family.is_lasso:
-            state = (family._phase(max(n, 1)), cur)
-            if n > family.prefix_len and state in seen:
-                return False
-            seen.add(state)
-        elif n >= len(family.word):
-            return False
-        n += 1
 
 
 def es_filter_membership(fam, family, p):

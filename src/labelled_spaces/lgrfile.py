@@ -12,7 +12,7 @@ Grammar (one directive per line, comments start with '#'):
 Parsing and printing round-trip byte-stably on canonical files.
 """
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .family import AccommodatingFamily, closure, powerset_family
 from .graph import Edge, LabelledGraph
 from .util import format_vset, parse_vset_list
@@ -102,5 +102,12 @@ def format_graph_file(graph, fam, family_kind="explicit"):
 
 
 def load_graph_file(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph_file(handle.read())
+    """Read and parse an .lgr file; unreadable files are input errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, exc.reason))
+    except OSError as exc:
+        raise InputError("cannot read graph file %s: %s" % (path, exc.strerror or exc))
+    return parse_graph_file(text)

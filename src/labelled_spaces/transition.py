@@ -12,7 +12,7 @@ families the maximal-family search over finite words is the supported route.
 
 from dataclasses import dataclass
 
-from .filters import LassoFilterFamily, PrincipalFilter
+from .filters import LassoFilterFamily, _preimage_gen
 from .graph import range_of
 from .util import canonical_lasso, format_vset, vkey
 
@@ -50,23 +50,19 @@ class UltrafilterTransitionGraph:
                         nxt.append(stepped)
             frontier = nxt
         self.ranges = tuple(sorted(ranges, key=vkey))
-        nodes = []
-        for r in self.ranges:
-            for atom in sorted(fam.algebra_over(r).atoms, key=vkey):
-                nodes.append(UTGNode(r, atom))
-        self.nodes = tuple(nodes)
+        nodes = {
+            r: tuple(UTGNode(r, atom) for atom in sorted(fam.algebra_over(r).atoms, key=vkey))
+            for r in self.ranges
+        }
+        self.nodes = tuple(n for r in self.ranges for n in nodes[r])
         edges = []
-        for src in self.nodes:
+        for r in self.ranges:
+            source = fam.algebra_over(r)
             for b in g.alphabet:
-                dst_range = g.step(src.range_set, b)
-                if not dst_range:
-                    continue
-                for dst in self.nodes:
-                    if dst.range_set != dst_range:
-                        continue
-                    pre = self._preimage_atom(src.range_set, b, dst)
-                    if pre == src.atom:
-                        edges.append((src, b, dst))
+                for dst in nodes.get(g.step(r, b), ()):
+                    pre = _preimage_gen(fam, source, dst.atom, (b,))
+                    if pre in source.atoms:
+                        edges.append((UTGNode(r, pre), b, dst))
         self.edges = tuple(
             sorted(edges, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key()))
         )
@@ -75,19 +71,6 @@ class UltrafilterTransitionGraph:
         for src, b, dst in self.edges:
             self._succ.setdefault(src, []).append((b, dst))
             self._pred.setdefault(dst, []).append((b, src))
-
-    def _preimage_atom(self, src_range, letter, dst):
-        algebra = self.fam.algebra_over(src_range)
-        flt = PrincipalFilter(self.fam.algebra_over(dst.range_set), dst.atom)
-        members = [
-            a for a in algebra.elements if a and flt.gen <= self.fam.rel_range(a, (letter,))
-        ]
-        if not members:
-            return None
-        gen = members[0]
-        for m in members[1:]:
-            gen &= m
-        return gen if gen in members else None
 
     def successors(self, node):
         return tuple(self._succ.get(node, ()))
@@ -103,13 +86,9 @@ class UltrafilterTransitionGraph:
 
     def has_branching_cycles(self):
         """True when some strongly connected component carries two distinct
-        cycles, i.e. more internal edges than nodes; then the infinite paths
-        are not all eventually periodic and lassos list only a subset."""
-        for comp in strongly_connected_components(self.nodes, self.edges):
-            internal = [e for e in self.edges if e[0] in comp and e[2] in comp]
-            if internal and len(internal) > len(comp):
-                return True
-        return False
+        cycles; then the infinite paths are not all eventually periodic and
+        lassos list only a subset."""
+        return has_branching_cycles(self.nodes, self.edges)
 
     def lassos(self, max_prefix, max_cycle):
         """All infinite-type ultrafilter towers whose canonical lasso fits the
@@ -269,6 +248,15 @@ def strongly_connected_components(nodes, edges):
         if v not in index:
             visit(v)
     return out
+
+
+def has_branching_cycles(nodes, edges):
+    """Whether some strongly connected component has more internal edges
+    than nodes, i.e. carries two distinct cycles."""
+    for comp in strongly_connected_components(nodes, edges):
+        if sum(1 for src, _, dst in edges if src in comp and dst in comp) > len(comp):
+            return True
+    return False
 
 
 def ultrafilter_transition_graph(fam):

@@ -91,6 +91,36 @@ class TestExitCodes:
         code, _, _ = run(["compare", "loops4_powerset.lgr", "--max-len", "2", "--max-cycle", "2"])
         assert code == 0
 
+    def test_directory_is_two(self, tmp_path):
+        code, _, err = run(["validate", str(tmp_path)])
+        assert code == 2
+        assert err.count("error:") == 1
+
+    def test_non_utf8_file_is_two(self, tmp_path):
+        bad = tmp_path / "bad.lgr"
+        bad.write_bytes(b"vertices \xff\n")
+        code, _, err = run(["validate", str(bad)])
+        assert code == 2
+        assert err.count("error:") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tight", "loops4.lgr", "--max-word", "-1"],
+            ["tight", "loops4.lgr", "--max-cycle", "-1"],
+            ["boundary", "loops4.lgr", "--max-len", "-1"],
+            ["compare", "loops4_powerset.lgr", "--max-cycle", "-1"],
+            ["refute", "loops4.lgr", "--filter", "a ; gen={3}", "--depth", "-1"],
+            ["isolated", "twins3.lgr", "--max-prefix", "-1"],
+        ],
+        ids=["max-word", "max-cycle", "max-len", "compare-max-cycle", "depth", "max-prefix"],
+    )
+    def test_negative_bound_is_two(self, argv, capsys):
+        code, out, _ = run(argv)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.count("error:") == 1
+
 
 class TestOutputs:
     def test_mul(self):

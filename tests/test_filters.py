@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from labelled_spaces import (
     DomainError,
@@ -17,7 +19,7 @@ from labelled_spaces import (
 from labelled_spaces import fixtures
 from labelled_spaces.filters import parse_filter_family
 from labelled_spaces.semigroup import idempotents_up_to
-from oracles import filters_brute
+from oracles import TowerOracle, filters_brute
 
 
 def fset(*items):
@@ -281,9 +283,22 @@ class TestCompletion:
         cf = enumerate_complete_families(famc, fixtures.chain7_word(6))[0]
         assert cf.completion().gens == cf.gens
 
-    def test_membership_agreement_under_completion(self, loops4):
-        _, fam = loops4
-        adm = LassoFilterFamily(fam, (), ("a",), (), (E0,), f0_gen=E0)
+    @pytest.mark.parametrize(
+        "space, cycle, cycle_gens, f0",
+        [
+            ("loops4", ("a",), (E0,), E0),
+            # {v1 v2} sits at level 0 and again at level 1; a membership walk
+            # that gives level 0 the phase of level 1 stops there, one level
+            # before it reaches up{v1} (f0 is the derived level-0 filter)
+            ("twins3", ("0", "0", "1"), (fset("v2", "v3"), fset("v1"), fset("v1", "v3")),
+             fset("v1", "v3")),
+        ],
+        ids=["loops4", "twins3"],
+    )
+    def test_membership_agreement_under_completion(self, request, space, cycle, cycle_gens, f0):
+        _, fam = request.getfixturevalue(space)
+        adm = LassoFilterFamily(fam, (), cycle, (), cycle_gens, f0_gen=f0)
+        assert adm.is_admissible() and not adm.is_complete()
         comp = adm.completion()
         for p in idempotents_up_to(fam, 4):
             assert adm.contains_idempotent(p) == comp.contains_idempotent(p)
@@ -433,3 +448,59 @@ class TestBooleanCollapse:
         cf = enumerate_complete_families(fam, fixtures.chain7_word(6))[0]
         assert is_maximal_complete_family(fam, cf)
         assert not cf.filter_at(2).is_ultrafilter
+
+
+TOWER_SPACES = {name: getattr(fixtures, name)()[1] for name in
+                ("loops4", "loops4_powerset", "twins2", "twins3")}
+
+
+@st.composite
+def random_towers(draw):
+    """A finite or lasso tower, admissible or not, with each generator drawn
+    from the algebra along the first pass of its word, and its oracle."""
+    fam = TOWER_SPACES[draw(st.sampled_from(sorted(TOWER_SPACES)))]
+    g = fam.graph
+    lasso = draw(st.booleans())
+    n_pre = draw(st.integers(0, 2 if lasso else 3))
+    rng, pairs = g.vertex_set, []
+    for _ in range(n_pre + (draw(st.integers(1, 3)) if lasso else 0)):
+        letter = draw(st.sampled_from([b for b in g.alphabet if g.step(rng, b)]))
+        rng = g.step(rng, letter)
+        pairs.append((letter, draw(st.sampled_from([s for s in fam.sets if s and s <= rng]))))
+    letters, gens = [b for b, _ in pairs], [s for _, s in pairs]
+    f0 = draw(st.sampled_from(["derive", None] + [s for s in fam.sets if s]))
+    try:
+        if not lasso:
+            f0 = None if f0 == "derive" else f0
+            return fam, FiniteFilterFamily(fam, letters, [f0] + gens), TowerOracle(fam, pairs, (), f0)
+        tower = LassoFilterFamily(
+            fam, letters[:n_pre], letters[n_pre:], gens[:n_pre], gens[n_pre:],
+            **({} if f0 == "derive" else {"f0_gen": f0})
+        )
+    except DomainError:
+        reject()
+    oracle = TowerOracle(fam, pairs[:n_pre], pairs[n_pre:], tower.f0_gen)
+    if f0 == "derive":
+        # the derived level-0 filter is the pullback of level 1
+        assert oracle.up(0) == oracle.pullback(0)
+    return fam, tower, oracle
+
+
+class TestTowerCore:
+    @settings(max_examples=250, deadline=None)
+    @given(random_towers())
+    def test_matches_the_definitions(self, case):
+        fam, tower, oracle = case
+        assert tower.is_admissible() == oracle.is_admissible()
+        assert tower.is_complete() == oracle.is_complete()
+        for p in idempotents_up_to(fam, 3):
+            assert tower.contains_idempotent(p) == oracle.contains(p)
+        if not oracle.is_admissible():
+            with pytest.raises(DomainError):
+                tower.completion()
+            return
+        comp = tower.completion()
+        for n in range(oracle.last + 1):
+            gen = comp.gen_at(n)
+            members = {a for a in oracle.algebra(n) if gen is not None and gen <= a}
+            assert members == oracle.completion_level(n)
