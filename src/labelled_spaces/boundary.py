@@ -3,7 +3,9 @@
 The boundary consists of all infinite paths plus the finite paths (including
 single vertices) ending at a singular vertex.  On a finite graph the singular
 vertices are exactly the sinks.  Infinite paths are listed as canonical edge
-lassos; a branching-cycle flag reports when some strongly connected component
+lassos by the same walker as the transition graph's lassos: each canonical
+lasso within the bounds is met once, so the cost follows the output.  A
+branching-cycle flag reports when some strongly connected component
 carries two distinct cycles, in which case the lassos are a strict subset of
 all infinite paths.
 """
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import singular_vertices
-from .transition import has_branching_cycles
+from .transition import _canonical_lassos, has_branching_cycles
 from .util import canonical_lasso
 
 
@@ -133,22 +135,6 @@ def _finite_boundary_paths(g, max_len):
     return tuple(sorted(out, key=FinitePath.sort_key))
 
 
-def _closed_edge_walks(g, bound):
-    walks = []
-
-    def extend(start, trail):
-        at = trail[-1].dst if trail else start
-        for e in g.edges_from(at):
-            if e.dst == start:
-                walks.append(trail + [e])
-            if len(trail) + 1 < bound:
-                extend(start, trail + [e])
-
-    for v in g.vertices:
-        extend(v, [])
-    return walks
-
-
 def _backward_chains(g, head, max_len):
     """Every edge chain of length at most ``max_len`` that ends at ``head``,
     shortest first, starting with the empty chain."""
@@ -160,13 +146,19 @@ def _backward_chains(g, head, max_len):
 
 
 def _infinite_boundary_paths(g, max_len, max_cycle):
-    found = {}
-    for cycle in _closed_edge_walks(g, max_cycle):
-        for chain in _backward_chains(g, cycle[0].src, max_len):
-            path = make_infinite_path(g, chain, cycle)
-            if len(path.prefix) <= max_len and len(path.cycle) <= max_cycle:
-                found.setdefault((path.prefix, path.cycle), path)
-    return tuple(sorted(found.values(), key=InfinitePath.sort_key))
+    """The canonical edge lassos within the bounds, each met once by the
+    transition graph's lasso walker (an edge's successors depend on its
+    target alone)."""
+    lassos = _canonical_lassos(
+        [(e, e.dst) for e in g.edges],
+        lambda v: [(e, e.dst) for e in g.edges_from(v)],
+        max_len,
+        max_cycle,
+    )
+    return tuple(sorted(
+        (make_infinite_path(g, prefix, cycle) for prefix, cycle in lassos),
+        key=InfinitePath.sort_key,
+    ))
 
 
 def boundary_paths(g, max_len, max_cycle):

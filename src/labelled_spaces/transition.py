@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .filters import LassoFilterFamily, _preimage_gen
 from .graph import range_of
-from .util import canonical_lasso, format_vset, vkey
+from .util import format_vset, vkey
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,10 @@ class UltrafilterTransitionGraph:
         fam.require_wlr()
         self.fam = fam
         g = fam.graph
+        # the range set a word starting with each letter enters at level 1
+        self._first = {b: range_of(g, (b,)) for b in g.alphabet}
         ranges = set()
-        frontier = [range_of(g, (b,)) for b in g.alphabet]
-        frontier = [r for r in frontier if r]
+        frontier = [r for r in self._first.values() if r]
         while frontier:
             nxt = []
             for r in frontier:
@@ -50,7 +51,7 @@ class UltrafilterTransitionGraph:
                         nxt.append(stepped)
             frontier = nxt
         self.ranges = tuple(sorted(ranges, key=vkey))
-        nodes = {
+        self._over = nodes = {
             r: tuple(UTGNode(r, atom) for atom in sorted(fam.algebra_over(r).atoms, key=vkey))
             for r in self.ranges
         }
@@ -81,8 +82,7 @@ class UltrafilterTransitionGraph:
     def entry_letters(self, node):
         """Letters that may start a word at this node: their range is the
         node's range set."""
-        g = self.fam.graph
-        return tuple(b for b in g.alphabet if range_of(g, (b,)) == node.range_set)
+        return tuple(b for b, r in self._first.items() if r == node.range_set)
 
     def has_branching_cycles(self):
         """True when some strongly connected component carries two distinct
@@ -94,89 +94,34 @@ class UltrafilterTransitionGraph:
         """All infinite-type ultrafilter towers whose canonical lasso fits the
         bounds: prefix length <= max_prefix, cycle length <= max_cycle.
 
-        The level data of a tower is its (letter, generator) sequence; the
-        node sequence can settle with a longer period (the range component may
-        oscillate), so the walk enumeration uses widened internal bounds and
-        filters by the canonical size afterwards.
+        The level data of a tower is its (letter, atom) sequence, read off a
+        walk that enters the graph with a letter whose range is the first
+        node's range set.  The arcs out of a node (R, A) depend on its atom
+        alone, as the lasso walker needs: (R, A) -b-> (r(R, b), A') exactly
+        when A' <= r(A, b).  (The atoms below R are the family's atoms inside
+        R, and weak left resolvability makes A the only atom whose range
+        along b meets A'.)  Each canonical lasso within the bounds comes from
+        one walk, so a tower is built only for the lassos returned and the
+        cost follows the output.
         """
-        factor = max(1, len(self.ranges))
-        node_cycle_bound = max_cycle * factor
-        node_prefix_bound = max_prefix + max_cycle * factor
-        found = {}
+        starts = [((b, n.atom), n) for b, r in self._first.items() for n in self._over.get(r, ())]
 
-        def consider(pairs_prefix, pairs_cycle):
-            prefix, cycle = canonical_lasso(
-                [(b, n.atom) for b, n in pairs_prefix],
-                [(b, n.atom) for b, n in pairs_cycle],
-            )
-            if len(prefix) > max_prefix or len(cycle) > max_cycle:
-                return
-            family = LassoFilterFamily(
-                self.fam,
-                tuple(b for b, _ in prefix),
-                tuple(b for b, _ in cycle),
-                tuple(g for _, g in prefix),
-                tuple(g for _, g in cycle),
-            )
-            found.setdefault(family.canonical_key(), family)
+        def arcs(node):
+            return [((b, dst.atom), dst) for b, dst in self.successors(node)]
 
-        for cycle in self._closed_walks(node_cycle_bound):
-            entry = cycle[0][1]
-            entry_letter = cycle[0][0]
-            if range_of(self.fam.graph, (entry_letter,)) == entry.range_set:
-                consider((), cycle)
-            for prefix in self._prefixes(entry, cycle[0][0], node_prefix_bound):
-                consider(prefix, cycle)
-        return tuple(sorted(found.values(), key=LassoFilterFamily.sort_key))
-
-    def _closed_walks(self, bound):
-        """Closed walks as (letter, node) level sequences: the pair at each
-        position carries the letter that enters that node, so a walk
-        n0 -b1-> n1 ... -b0-> n0 yields [(b0, n0), (b1, n1), ...]."""
-        walks = []
-
-        def extend(start, trail):
-            for b, nxt in self.successors(trail[-1][1] if trail else start):
-                step = (b, nxt)
-                if nxt == start:
-                    walks.append(trail + [step])
-                if len(trail) + 1 < bound:
-                    extend(start, trail + [step])
-
-        for start in self.nodes:
-            extend(start, [])
-        fixed = []
-        for walk in walks:
-            # rotate so the wrap-around letter sits on the start node
-            fixed.append(tuple([walk[-1]] + walk[:-1]) if len(walk) > 1 else tuple(walk))
-        return fixed
-
-    def _prefixes(self, entry, entry_letter, bound):
-        """Backward chains of (letter, node) pairs ending just before the
-        cycle entry; the first pair's letter must be able to start a word."""
-        results = []
-
-        def extend(chain):
-            head = chain[0][1] if chain else entry
-            need = chain[0][0] if chain else entry_letter
-            for b, prev in self.predecessors(head):
-                if b != need:
-                    continue
-                for first in self.entry_letters(prev):
-                    results.append([(first, prev)] + chain)
-                if len(chain) + 1 < bound:
-                    for b2, _ in self._pred.get(prev, ()):
-                        extend([(b2, prev)] + chain)
-
-        extend([])
-        deduped = []
-        seen = set()
-        for r in results:
-            key = tuple(r)
-            if key not in seen:
-                seen.add(key)
-                deduped.append(key)
-        return deduped
+        return tuple(sorted(
+            (
+                LassoFilterFamily(
+                    self.fam,
+                    tuple(b for b, _ in prefix),
+                    tuple(b for b, _ in cycle),
+                    tuple(a for _, a in prefix),
+                    tuple(a for _, a in cycle),
+                )
+                for prefix, cycle in _canonical_lassos(starts, arcs, max_prefix, max_cycle)
+            ),
+            key=LassoFilterFamily.sort_key,
+        ))
 
     def format_listing(self):
         lines = ["nodes:"]
@@ -253,10 +198,46 @@ def strongly_connected_components(nodes, edges):
 def has_branching_cycles(nodes, edges):
     """Whether some strongly connected component has more internal edges
     than nodes, i.e. carries two distinct cycles."""
-    for comp in strongly_connected_components(nodes, edges):
-        if sum(1 for src, _, dst in edges if src in comp and dst in comp) > len(comp):
-            return True
-    return False
+    comps = strongly_connected_components(nodes, edges)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    internal = [0] * len(comps)
+    for src, _, dst in edges:
+        if comp_of[src] == comp_of[dst]:
+            internal[comp_of[src]] += 1
+    return any(k > len(comp) for k, comp in zip(internal, comps))
+
+
+def _canonical_lassos(starts, arcs, max_prefix, max_cycle):
+    """Every canonical lasso (prefix, cycle) of labels within the bounds
+    that a walk can follow forever, each exactly once.
+
+    ``starts`` are the first (label, state) steps of a walk and
+    ``arcs(state)`` the steps that may follow.  Which labels may follow a
+    step must depend on its label alone; then a walk can repeat its last c
+    labels forever exactly when the first of them may follow its last step.
+    Walks of up to max_prefix + max_cycle steps grow on an explicit stack,
+    and each is split every way into a prefix and a primitive cycle whose
+    last label differs from the prefix's, which is the canonical form.  A
+    canonical lasso is the first |prefix| + |cycle| labels of its path, so
+    it comes from exactly one (walk, split): nothing is deduplicated or
+    filtered afterwards.
+    """
+    stack = [(s,) for s in starts]
+    while stack:
+        walk = stack.pop()
+        steps = arcs(walk[-1][1])
+        follow = [label for label, _ in steps]
+        labels = tuple(label for label, _ in walk)
+        n = len(walk)
+        for p in range(max(0, n - max_cycle), min(max_prefix, n - 1) + 1):
+            cycle = labels[p:]
+            if cycle[0] not in follow or (p and labels[p - 1] == cycle[-1]):
+                continue
+            if not any(cycle == cycle[:d] * (len(cycle) // d)
+                       for d in range(1, len(cycle)) if len(cycle) % d == 0):
+                yield labels[:p], cycle
+        if n < max_prefix + max_cycle:
+            stack.extend(walk + (step,) for step in steps)
 
 
 def ultrafilter_transition_graph(fam):

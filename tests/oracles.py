@@ -178,3 +178,153 @@ class TowerOracle:
         if any(self.letter(k + 1) != b for k, b in enumerate(alpha)):
             return False
         return self.reaches(len(alpha), p.vset)
+
+
+class StepCapExceeded(Exception):
+    """A widened enumerator below ran past its step cap."""
+
+
+def _stepper(cap):
+    """A step counter that raises ``StepCapExceeded`` past ``cap`` steps."""
+    steps = [0]
+
+    def step():
+        steps[0] += 1
+        if cap is not None and steps[0] > cap:
+            raise StepCapExceeded(cap)
+
+    return step
+
+
+def widened_lassos(utg, max_prefix, max_cycle, cap=None):
+    """The lassos of an ultrafilter transition graph by widened enumeration:
+    node-level closed walks and backward prefixes under bounds widened by the
+    number of ranges (the node sequence can settle with a longer period than
+    the (letter, generator) sequence), canonicalised and filtered by the
+    canonical size afterwards.  Its cost grows exponentially with the number
+    of ranges; past ``cap`` walk extensions it raises ``StepCapExceeded``."""
+    from labelled_spaces import LassoFilterFamily
+    from labelled_spaces.graph import range_of
+    from labelled_spaces.util import canonical_lasso
+
+    step = _stepper(cap)
+    factor = max(1, len(utg.ranges))
+    node_cycle_bound = max_cycle * factor
+    node_prefix_bound = max_prefix + max_cycle * factor
+    found = {}
+
+    def consider(pairs_prefix, pairs_cycle):
+        prefix, cycle = canonical_lasso(
+            [(b, n.atom) for b, n in pairs_prefix],
+            [(b, n.atom) for b, n in pairs_cycle],
+        )
+        if len(prefix) > max_prefix or len(cycle) > max_cycle:
+            return
+        family = LassoFilterFamily(
+            utg.fam,
+            tuple(b for b, _ in prefix),
+            tuple(b for b, _ in cycle),
+            tuple(g for _, g in prefix),
+            tuple(g for _, g in cycle),
+        )
+        found.setdefault(family.canonical_key(), family)
+
+    def closed_walks(bound):
+        """Closed walks as (letter, node) level sequences: the pair at each
+        position carries the letter that enters that node, so a walk
+        n0 -b1-> n1 ... -b0-> n0 yields [(b0, n0), (b1, n1), ...]."""
+        walks = []
+
+        def extend(start, trail):
+            step()
+            for b, nxt in utg.successors(trail[-1][1] if trail else start):
+                pair = (b, nxt)
+                if nxt == start:
+                    walks.append(trail + [pair])
+                if len(trail) + 1 < bound:
+                    extend(start, trail + [pair])
+
+        for start in utg.nodes:
+            extend(start, [])
+        fixed = []
+        for walk in walks:
+            # rotate so the wrap-around letter sits on the start node
+            fixed.append(tuple([walk[-1]] + walk[:-1]) if len(walk) > 1 else tuple(walk))
+        return fixed
+
+    def prefixes(entry, entry_letter, bound):
+        """Backward chains of (letter, node) pairs ending just before the
+        cycle entry; the first pair's letter must be able to start a word."""
+        results = []
+
+        def extend(chain):
+            step()
+            head = chain[0][1] if chain else entry
+            need = chain[0][0] if chain else entry_letter
+            for b, prev in utg.predecessors(head):
+                if b != need:
+                    continue
+                for first in utg.entry_letters(prev):
+                    results.append([(first, prev)] + chain)
+                if len(chain) + 1 < bound:
+                    for b2, _ in utg.predecessors(prev):
+                        extend([(b2, prev)] + chain)
+
+        extend([])
+        deduped = []
+        seen = set()
+        for r in results:
+            key = tuple(r)
+            if key not in seen:
+                seen.add(key)
+                deduped.append(key)
+        return deduped
+
+    for cycle in closed_walks(node_cycle_bound):
+        entry = cycle[0][1]
+        entry_letter = cycle[0][0]
+        if range_of(utg.fam.graph, (entry_letter,)) == entry.range_set:
+            consider((), cycle)
+        for prefix in prefixes(entry, cycle[0][0], node_prefix_bound):
+            consider(prefix, cycle)
+    return tuple(sorted(found.values(), key=LassoFilterFamily.sort_key))
+
+
+def recursive_infinite_boundary_paths(g, max_len, max_cycle, cap=None):
+    """Canonical infinite boundary lassos by recursion: every closed edge
+    walk of up to ``max_cycle`` edges, every backward chain of up to
+    ``max_len`` edges into its start, canonicalised and filtered by the
+    bounds afterwards; past ``cap`` steps it raises ``StepCapExceeded``."""
+    from labelled_spaces.boundary import InfinitePath, make_infinite_path
+
+    step = _stepper(cap)
+    walks = []
+
+    def extend(start, trail):
+        step()
+        at = trail[-1].dst if trail else start
+        for e in g.edges_from(at):
+            if e.dst == start:
+                walks.append(trail + [e])
+            if len(trail) + 1 < max_cycle:
+                extend(start, trail + [e])
+
+    for v in g.vertices:
+        extend(v, [])
+    def backward_chains(head):
+        """Every edge chain of length at most ``max_len`` that ends at
+        ``head``, shortest first, starting with the empty chain."""
+        chains = [()]
+        yield ()
+        for _ in range(max_len):
+            chains = [(e,) + c for c in chains for e in g.edges_into(c[0].src if c else head)]
+            yield from chains
+
+    found = {}
+    for cycle in walks:
+        for chain in backward_chains(cycle[0].src):
+            step()
+            path = make_infinite_path(g, chain, cycle)
+            if len(path.prefix) <= max_len and len(path.cycle) <= max_cycle:
+                found.setdefault((path.prefix, path.cycle), path)
+    return tuple(sorted(found.values(), key=InfinitePath.sort_key))

@@ -121,6 +121,18 @@ class TestExitCodes:
         assert out == ""
         assert capsys.readouterr().err.count("error:") == 1
 
+    # a cycle bound far above the recursion limit: the lasso walker keeps its
+    # walks on an explicit stack
+    def test_long_cycle_bound_boundary_is_zero(self):
+        code, out, err = run(["boundary", "single_loop.lgr", "--max-cycle", "3000"])
+        assert (code, err) == (0, "")
+        assert out.split("infinite paths (1):\n")[1].startswith("  v ([e1]a)^inf\n")
+
+    def test_long_cycle_bound_tight_is_zero(self):
+        code, out, err = run(["tight", "single_loop.lgr", "--max-cycle", "3000"])
+        assert (code, err) == (0, "")
+        assert "infinite type (1):\n  (a)^inf ; gens=({v})^inf ; f0={v}\n" in out
+
 
 class TestOutputs:
     def test_mul(self):

@@ -1,0 +1,123 @@
+"""The lasso walker shared by the transition graph and the boundary.
+
+Its answers are compared with the widened and recursive enumerators kept in
+``oracles.py``, with the paper's bijection between boundary lassos and
+infinite-type tight filters, and its work is pinned as a count: one tower
+built per lasso returned.
+"""
+
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from labelled_spaces import (
+    Edge,
+    LabelledGraph,
+    LassoFilterFamily,
+    UltrafilterTransitionGraph,
+    boundary_paths,
+    closure,
+    compare_spectrum_with_boundary,
+    powerset_family,
+)
+from oracles import StepCapExceeded, recursive_infinite_boundary_paths, widened_lassos
+
+# walk extensions after which a draw is skipped: the widened oracle grows
+# exponentially with the number of ranges, the walker does not
+ORACLE_STEP_CAP = 5000
+
+
+@st.composite
+def random_spaces(draw):
+    """A graph on 2-5 vertices and 1-2 letters with the powerset family or
+    the closure of a few seed sets, complement closed and weakly left
+    resolving.  Powerset graphs are left resolving (at most one edge per
+    letter into each vertex); closure graphs may have up to two more."""
+    verts = tuple("v%d" % i for i in range(1, draw(st.integers(2, 5)) + 1))
+    alphabet = "ab"[: draw(st.integers(1, 2))]
+    slots = [(b, dst) for dst in verts for b in alphabet]
+    powerset = draw(st.booleans())
+    if not powerset:
+        slots += draw(st.lists(st.sampled_from(slots), max_size=2))
+    edges = []
+    for b, dst in slots:
+        src = draw(st.none() | st.sampled_from(verts))
+        if src is not None:
+            edges.append(Edge("e%d" % (len(edges) + 1), src, b, dst))
+    g = LabelledGraph(verts, tuple(edges))
+    if powerset:
+        return g, powerset_family(g)
+    fam = closure(g, draw(st.lists(st.frozensets(st.sampled_from(verts)), max_size=2)))
+    if not fam.weakly_left_resolving:
+        reject()
+    return g, fam
+
+
+class TestAgainstTheWidenedEnumeration:
+    @settings(max_examples=300, deadline=None)
+    @given(random_spaces(), st.integers(0, 2), st.integers(0, 2))
+    def test_same_lassos_and_boundary_paths(self, space, max_prefix, max_cycle):
+        g, fam = space
+        utg = UltrafilterTransitionGraph(fam)
+        try:
+            expected = widened_lassos(utg, max_prefix, max_cycle, ORACLE_STEP_CAP)
+            expected_paths = recursive_infinite_boundary_paths(
+                g, max_prefix, max_cycle, ORACLE_STEP_CAP)
+        except StepCapExceeded:
+            reject()
+        walked = utg.lassos(max_prefix, max_cycle)
+        assert [l.format() for l in walked] == [l.format() for l in expected]
+        assert [l.node_lasso() for l in walked] == [l.node_lasso() for l in expected]
+        paths = boundary_paths(g, max_prefix, max_cycle).infinite
+        assert [str(p) for p in paths] == [str(p) for p in expected_paths]
+
+
+# a left-resolving powerset space on which the widened enumeration walks
+# about 2.6e7 steps for lassos(1, 2) (walks of up to 12 nodes over 6 ranges)
+# while there are only two lassos
+WIDE = LabelledGraph(
+    ("v1", "v2", "v3", "v4", "v5", "v6", "v7"),
+    (
+        Edge("e1", "v4", "a", "v1"),
+        Edge("e2", "v1", "c", "v1"),
+        Edge("e3", "v1", "a", "v3"),
+        Edge("e4", "v3", "c", "v5"),
+        Edge("e5", "v7", "c", "v6"),
+    ),
+)
+
+
+class TestWideRangeSpace:
+    @pytest.mark.parametrize("bounds", [(1, 2), (3, 3)])
+    def test_boundary_and_spectrum_are_in_bijection(self, bounds):
+        report = compare_spectrum_with_boundary(WIDE, *bounds)
+        assert report.bijective
+        assert len(report.spectrum.infinite) == len(report.boundary.infinite) == 2
+
+
+@pytest.fixture
+def towers_built(monkeypatch):
+    """A counter of the LassoFilterFamily objects constructed."""
+    built = [0]
+    init = LassoFilterFamily.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LassoFilterFamily, "__init__", counting)
+    return built
+
+
+class TestOutputSensitive:
+    @pytest.mark.parametrize(
+        "space, bounds, count",
+        [("loops4", (3, 2), 2), ("loops4", (4, 3), 2), ("twins3", (3, 3), 33),
+         ("wide", (1, 2), 2)],
+    )
+    def test_one_tower_per_lasso(self, request, towers_built, space, bounds, count):
+        fam = powerset_family(WIDE) if space == "wide" else request.getfixturevalue(space)[1]
+        utg = UltrafilterTransitionGraph(fam)
+        lassos = utg.lassos(*bounds)
+        assert len(lassos) == count
+        assert towers_built[0] == count
