@@ -12,7 +12,6 @@ import sys
 from . import fixtures
 from .boundary import boundary_paths, isolated_points
 from .errors import DomainError, InputError, LabelledSpaceError, ParseError
-from .family import validate
 from .filters import parse_filter_family, ultrafilters
 from .graph import is_labelled_path
 from .lgrfile import load_graph_file
@@ -54,15 +53,11 @@ def _word_arg(fam, text):
 
 
 def cmd_validate(args, out):
-    g, fam = _load(args.graph)
-    report = validate(g, fam.sets)
+    _, fam = _load(args.graph)
+    report = fam.report
     out.write(report.flags_line() + "\n")
     for name in sorted(report.witnesses):
-        parts = " ".join(
-            format_vset(w) if isinstance(w, frozenset) else str(w)
-            for w in report.witnesses[name]
-        )
-        out.write("witness %s: %s\n" % (name, parts))
+        out.write("witness %s: %s\n" % (name, report.witness_text(name)))
     if args.require:
         wanted = {flag.strip() for flag in args.require.split(",") if flag.strip()}
         unknown = wanted - {"accommodating", "wlr", "complements"}

@@ -5,11 +5,36 @@ Closure checks are performed on single letters only; together with the
 composition law r(r(A, b), w) = r(A, bw) this implies closure under relative
 ranges of arbitrary words, and likewise the weak-left-resolving identity for
 single letters propagates to all words once the family is range-closed.
+
+Validation reads its flags off the meets M_v = the intersection of the
+members containing v, one per vertex v that some member covers, found in
+one pass over the members.  Every member is the union of the meets of its
+vertices, A = U_{v in A} M_v (Birkhoff, "Rings of sets", 1937), and from
+that the following hold, each exactly, both ways:
+
+(a) with the empty set in F, F is closed under union and intersection iff
+    every A | M_v is a member (A = {} gives M_v itself): |F|*|V| lookups
+    instead of |F|^2 pairs;
+(b) on such a lattice, r(A, b) is a member for every member A iff every
+    r(M_v, b) is, because r preserves unions;
+(c) with S the b-predecessors of a vertex, the weak-left-resolving check at
+    that (b, vertex) can fail only if two of the traces M_u & S (u in S) are
+    disjoint, and on a lattice it then fails (both meets are members);
+(d) a lattice is closed under relative complements iff its distinct meets
+    are pairwise disjoint: it is a ring of sets, all unions of the blocks of
+    one partition.
+
+So on a lattice each flag is decided from the meets, and the pair scans run
+only for a flag that is false, to name the first witness in the order they
+have always scanned.  A family that is not a lattice is not accommodating
+(and cannot be built); for it the weak-left-resolving scan decides the
+(b, vertex) checks that (c) does not clear, and the complement scan decides
+closure under relative complements.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, UnsupportedFamilyError
 from .graph import range_of, relative_range
 from .util import format_vset, sort_sets, vkey
 
@@ -28,62 +53,98 @@ class ValidationReport:
             str(self.complement_closed).lower(),
         )
 
+    def witness_text(self, name):
+        """The witness of flag ``name`` as printed: sets as ``{a b}``, letters
+        and notes as they are; empty when the flag holds."""
+        return " ".join(
+            format_vset(w) if isinstance(w, frozenset) else str(w)
+            for w in self.witnesses.get(name, ())
+        )
+
 
 def validate(g, sets):
     """Check the accommodating / weakly-left-resolving / complement-closure
     flags for an arbitrary collection of vertex sets.
 
     Never raises for closure failures; each false flag comes with a concrete
-    witness.  Sets containing unknown vertices are input errors.
+    witness.  Sets containing unknown vertices are input errors.  The flags
+    come from the per-vertex meets (see the module docstring); the scans
+    that name the witnesses run only for a flag the meets do not show true.
     """
     for s in sets:
         g.check_vertices(s)
     members = sort_sets(frozenset(s) for s in sets)
     lookup = set(members)
-    witnesses = {}
+    meets = {}
+    for a in members:
+        for v in a:
+            meets[v] = meets[v] & a if v in meets else a
+    blocks = set(meets.values())
 
-    accommodating = True
-    if frozenset() not in lookup:
-        accommodating = False
-        witnesses["accommodating"] = ("missing empty set",)
-    for b in g.alphabet:
-        if accommodating and range_of(g, (b,)) not in lookup:
-            accommodating = False
-            witnesses["accommodating"] = ("missing range of letter", b)
-    if accommodating:
-        for a in members:
-            for b in g.alphabet:
-                if g.step(a, b) not in lookup:
-                    accommodating = False
-                    witnesses["accommodating"] = ("relative range escapes", a, b)
-                    break
-            if not accommodating:
-                break
-    if accommodating:
-        for i, a in enumerate(members):
-            for bset in members[i + 1 :]:
-                if a | bset not in lookup:
-                    accommodating = False
-                    witnesses["accommodating"] = ("union escapes", a, bset)
-                    break
-                if a & bset not in lookup:
-                    accommodating = False
-                    witnesses["accommodating"] = ("intersection escapes", a, bset)
-                    break
-            if not accommodating:
-                break
-
-    # Weak left resolving via source traces: for each vertex v and letter b,
-    # the members' traces on the b-predecessors of v must pairwise intersect;
-    # a disjoint pair of nonempty traces is exactly a violation of
-    # r(A & B, b) = r(A, b) & r(B, b).
-    weakly_left_resolving = True
+    lattice = frozenset() in lookup and all(
+        a | m in lookup for a in members for m in blocks if not m <= a
+    )
+    accommodating = (
+        lattice
+        and all(range_of(g, (b,)) in lookup for b in g.alphabet)
+        and all(g.step(m, b) in lookup for m in blocks for b in g.alphabet)
+    )
+    ring = lattice and all(meets[u] == m for m in blocks for u in m)
     preds = {}
     for e in g.edges:
         preds.setdefault((e.label, e.dst), set()).add(e.src)
-    for (b, v), srcs in sorted(preds.items()):
-        if not weakly_left_resolving:
-            break
+    suspects = [
+        (bv, srcs) for bv, srcs in sorted(preds.items()) if not _traces_meet(meets, srcs)
+    ]
+
+    found = {
+        "accommodating": None if accommodating else _accommodating_witness(g, members, lookup),
+        "weakly_left_resolving": _wlr_witness(members, suspects),
+        "complement_closed": None if ring else _complement_witness(members, lookup),
+    }
+    witnesses = {name: w for name, w in found.items() if w is not None}
+    return ValidationReport(
+        accommodating,
+        "weakly_left_resolving" not in witnesses,
+        "complement_closed" not in witnesses,
+        witnesses,
+    )
+
+
+def _traces_meet(meets, srcs):
+    """Whether the traces M_u & srcs of the covered sources pairwise meet."""
+    traces = [meets[u] & srcs for u in srcs if u in meets]
+    return all(t1 & t2 for i, t1 in enumerate(traces) for t2 in traces[i + 1 :])
+
+
+def _accommodating_witness(g, members, lookup):
+    """The first accommodating failure: a missing empty set or letter range,
+    then a relative range, then a union or intersection of a member pair."""
+    if frozenset() not in lookup:
+        return ("missing empty set",)
+    for b in g.alphabet:
+        if range_of(g, (b,)) not in lookup:
+            return ("missing range of letter", b)
+    for a in members:
+        for b in g.alphabet:
+            if g.step(a, b) not in lookup:
+                return ("relative range escapes", a, b)
+    for i, a in enumerate(members):
+        for bset in members[i + 1 :]:
+            if a | bset not in lookup:
+                return ("union escapes", a, bset)
+            if a & bset not in lookup:
+                return ("intersection escapes", a, bset)
+    return None
+
+
+def _wlr_witness(members, suspects):
+    """Weak left resolving via source traces: for each letter b and vertex v
+    (in order), the members' traces on the b-predecessors of v must pairwise
+    intersect; a disjoint pair of nonempty traces is exactly a violation of
+    r(A & B, b) = r(A, b) & r(B, b).  Only the (b, v) whose meet traces do
+    not pairwise meet are scanned: no other can fail."""
+    for (b, _), srcs in suspects:
         traces = {}
         for a in members:
             t = frozenset(a & srcs)
@@ -93,37 +154,35 @@ def validate(g, sets):
         for i, t1 in enumerate(distinct):
             for t2 in distinct[i + 1 :]:
                 if not (t1 & t2):
-                    weakly_left_resolving = False
-                    witnesses["weakly_left_resolving"] = (traces[t1], traces[t2], b)
-                    break
-            if not weakly_left_resolving:
-                break
+                    return (traces[t1], traces[t2], b)
+    return None
 
-    complement_closed = True
+
+def _complement_witness(members, lookup):
+    """The first member pair (A, B), in order, with A - B not a member.
+
+    On a lattice that is not a ring the top member already fails (it loses
+    a smaller meet nested in a larger one), and only prefixes of its sorted
+    vertex list come before it, so the scan stops within |V| + 1 rows."""
     for a in members:
         for bset in members:
             if a - bset not in lookup:
-                complement_closed = False
-                witnesses["complement_closed"] = (a, bset)
-                break
-        if not complement_closed:
-            break
-
-    return ValidationReport(accommodating, weakly_left_resolving, complement_closed, witnesses)
+                return (a, bset)
+    return None
 
 
 @dataclass(frozen=True)
 class AccommodatingFamily:
     """An accommodating family over a labelled graph, as an explicit set list.
 
-    Construction validates the accommodating closure properties and records
-    the weakly-left-resolving and complement-closure flags.
+    Construction validates the family once and keeps the ``ValidationReport``
+    it built: the weakly-left-resolving and complement-closure flags, with
+    their witnesses, are read from it.
     """
 
     graph: object
     sets: tuple
-    weakly_left_resolving: bool = field(init=False, compare=False)
-    complement_closed: bool = field(init=False, compare=False)
+    report: ValidationReport = field(init=False, compare=False, repr=False)
     _lookup: frozenset = field(init=False, compare=False, repr=False)
     _algebras: dict = field(init=False, compare=False, repr=False)
 
@@ -132,12 +191,10 @@ class AccommodatingFamily:
         report = validate(self.graph, members)
         if not report.accommodating:
             raise InputError(
-                "family is not accommodating: %s"
-                % " ".join(_describe(w) for w in report.witnesses.get("accommodating", ()))
+                "family is not accommodating: %s" % report.witness_text("accommodating")
             )
         object.__setattr__(self, "sets", members)
-        object.__setattr__(self, "weakly_left_resolving", report.weakly_left_resolving)
-        object.__setattr__(self, "complement_closed", report.complement_closed)
+        object.__setattr__(self, "report", report)
         object.__setattr__(self, "_lookup", frozenset(members))
         object.__setattr__(self, "_algebras", {})
 
@@ -150,15 +207,27 @@ class AccommodatingFamily:
     def __len__(self):
         return len(self.sets)
 
+    @property
+    def weakly_left_resolving(self):
+        return self.report.weakly_left_resolving
+
+    @property
+    def complement_closed(self):
+        return self.report.complement_closed
+
     def require_wlr(self):
         if not self.weakly_left_resolving:
-            raise DomainError("family is not weakly left resolving")
+            raise DomainError(
+                "family is not weakly left resolving: %s"
+                % self.report.witness_text("weakly_left_resolving")
+            )
 
     def require_complements(self):
-        from .errors import UnsupportedFamilyError
-
         if not self.complement_closed:
-            raise UnsupportedFamilyError("family is not closed under relative complements")
+            raise UnsupportedFamilyError(
+                "family is not closed under relative complements: %s"
+                % self.report.witness_text("complement_closed")
+            )
 
     def rel_range(self, members, word):
         return relative_range(self.graph, members, word)
@@ -184,10 +253,6 @@ class AccommodatingFamily:
         if restriction not in self._algebras:
             self._algebras[restriction] = RestrictedAlgebra.build(self, restriction)
         return self._algebras[restriction]
-
-
-def _describe(item):
-    return format_vset(item) if isinstance(item, frozenset) else str(item)
 
 
 def closure(g, seeds):

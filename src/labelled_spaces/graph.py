@@ -32,6 +32,7 @@ class LabelledGraph:
     alphabet: tuple = field(init=False, compare=False)
     _by_label: dict = field(init=False, compare=False, repr=False)
     _into: dict = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vertices = tuple(sorted(set(self.vertices)))
@@ -58,9 +59,11 @@ class LabelledGraph:
             {b: {v: frozenset(t) for v, t in m.items()} for b, m in by_label.items()},
         )
         object.__setattr__(self, "_into", {v: tuple(es) for v, es in into.items()})
+        # every relative-range cache lookup hashes the graph: hash the edges once
+        object.__setattr__(self, "_hash", hash((vertices, edges)))
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return self._hash
 
     @property
     def vertex_set(self):

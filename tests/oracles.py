@@ -328,3 +328,92 @@ def recursive_infinite_boundary_paths(g, max_len, max_cycle, cap=None):
             if len(path.prefix) <= max_len and len(path.cycle) <= max_cycle:
                 found.setdefault((path.prefix, path.cycle), path)
     return tuple(sorted(found.values(), key=InfinitePath.sort_key))
+
+
+def validate_by_pairs(g, sets):
+    """The family validation by pair scans over the members, kept verbatim as
+    the differential oracle of ``labelled_spaces.family.validate``: it checks
+    the accommodating / weakly-left-resolving / complement-closure flags for
+    an arbitrary collection of vertex sets in O(|F|^2) pair tests.
+
+    Never raises for closure failures; each false flag comes with a concrete
+    witness.  Sets containing unknown vertices are input errors.
+    """
+    from labelled_spaces.family import ValidationReport
+    from labelled_spaces.graph import range_of
+    from labelled_spaces.util import sort_sets, vkey
+
+    for s in sets:
+        g.check_vertices(s)
+    members = sort_sets(frozenset(s) for s in sets)
+    lookup = set(members)
+    witnesses = {}
+
+    accommodating = True
+    if frozenset() not in lookup:
+        accommodating = False
+        witnesses["accommodating"] = ("missing empty set",)
+    for b in g.alphabet:
+        if accommodating and range_of(g, (b,)) not in lookup:
+            accommodating = False
+            witnesses["accommodating"] = ("missing range of letter", b)
+    if accommodating:
+        for a in members:
+            for b in g.alphabet:
+                if g.step(a, b) not in lookup:
+                    accommodating = False
+                    witnesses["accommodating"] = ("relative range escapes", a, b)
+                    break
+            if not accommodating:
+                break
+    if accommodating:
+        for i, a in enumerate(members):
+            for bset in members[i + 1 :]:
+                if a | bset not in lookup:
+                    accommodating = False
+                    witnesses["accommodating"] = ("union escapes", a, bset)
+                    break
+                if a & bset not in lookup:
+                    accommodating = False
+                    witnesses["accommodating"] = ("intersection escapes", a, bset)
+                    break
+            if not accommodating:
+                break
+
+    # Weak left resolving via source traces: for each vertex v and letter b,
+    # the members' traces on the b-predecessors of v must pairwise intersect;
+    # a disjoint pair of nonempty traces is exactly a violation of
+    # r(A & B, b) = r(A, b) & r(B, b).
+    weakly_left_resolving = True
+    preds = {}
+    for e in g.edges:
+        preds.setdefault((e.label, e.dst), set()).add(e.src)
+    for (b, v), srcs in sorted(preds.items()):
+        if not weakly_left_resolving:
+            break
+        traces = {}
+        for a in members:
+            t = frozenset(a & srcs)
+            if t:
+                traces.setdefault(t, a)
+        distinct = sorted(traces, key=vkey)
+        for i, t1 in enumerate(distinct):
+            for t2 in distinct[i + 1 :]:
+                if not (t1 & t2):
+                    weakly_left_resolving = False
+                    witnesses["weakly_left_resolving"] = (traces[t1], traces[t2], b)
+                    break
+            if not weakly_left_resolving:
+                break
+
+    complement_closed = True
+    for a in members:
+        for bset in members:
+            if a - bset not in lookup:
+                complement_closed = False
+                witnesses["complement_closed"] = (a, bset)
+                break
+        if not complement_closed:
+            break
+
+    return ValidationReport(accommodating, weakly_left_resolving, complement_closed, witnesses)

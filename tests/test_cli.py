@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from labelled_spaces import cli, family
 from labelled_spaces.cli import run_command
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -82,6 +83,29 @@ class TestExitCodes:
         code, _, err = run(["ufgraph", "chain7.lgr"])
         assert code == 1
         assert "relative complements" in err
+
+    def test_unsupported_family_names_its_witness(self):
+        code, out, err = run(["ufgraph", "chain7.lgr"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: family is not closed under relative complements: "
+            "{v1 v10 v2 v3 v4} {v1 v10 v2}\n"
+        )
+
+    def test_validate_prints_the_report_built_on_load(self, monkeypatch):
+        calls = []
+        validate = family.validate
+
+        def counted(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(family, "validate", counted)
+        # a second validation called from the CLI itself would count too
+        monkeypatch.setattr(cli, "validate", counted, raising=False)
+        code, out, _ = run(["validate", "chain7.lgr"])
+        assert code == 0 and out.startswith("accommodating=true wlr=true complements=false\n")
+        assert len(calls) == 1
 
     def test_bad_element_is_two(self):
         code, _, _ = run(["mul", "loops4.lgr", "(a,{9},a)", "0"])

@@ -1,19 +1,26 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelled_spaces import (
     AccommodatingFamily,
+    DomainError,
     Edge,
     InputError,
     LabelledGraph,
+    UnsupportedFamilyError,
     closure,
+    is_left_resolving,
     powerset_family,
     relative_range,
     validate,
 )
 from labelled_spaces import fixtures
-from labelled_spaces.util import sort_sets
+from labelled_spaces.lgrfile import parse_graph_file
+from labelled_spaces.util import sort_sets, vkey
+from oracles import step_brute, validate_by_pairs
 
 
 def fset(*items):
@@ -143,6 +150,149 @@ class TestFamilyConstruction:
     def test_non_wlr_family_constructs(self):
         _, fam = non_wlr_space()
         assert not fam.weakly_left_resolving
+
+    def test_refusals_name_the_kept_witness(self, chain7):
+        _, fam = non_wlr_space()
+        a, b, letter = fam.report.witnesses["weakly_left_resolving"]
+        with pytest.raises(DomainError) as caught:
+            fam.require_wlr()
+        assert str(caught.value) == "family is not weakly left resolving: %s %s %s" % (
+            "{%s}" % " ".join(sorted(a)), "{%s}" % " ".join(sorted(b)), letter)
+        _, fam = chain7
+        with pytest.raises(UnsupportedFamilyError) as caught:
+            fam.require_complements()
+        assert str(caught.value) == (
+            "family is not closed under relative complements: {v1 v10 v2 v3 v4} {v1 v10 v2}"
+        )
+
+
+def _close(g, gens, meets, ranges):
+    """The smallest family holding the generators and the empty set that is
+    closed under union, and optionally under intersection and under letter
+    ranges and single-letter relative ranges (computed off the edge list)."""
+    family = set(gens) | {frozenset()}
+    if ranges:
+        family |= {step_brute(g, g.vertex_set, b) for b in g.alphabet}
+    while True:
+        new = {a | b for a in family for b in family}
+        if meets:
+            new |= {a & b for a in family for b in family}
+        if ranges:
+            new |= {step_brute(g, a, b) for a in family for b in g.alphabet}
+        if new <= family:
+            return family
+        family |= new
+
+
+def random_case(rng):
+    """A random graph on at most five vertices (two letters, edges drawn at
+    random, so often not weakly left resolving) and a family of one kind:
+    arbitrary subsets, all unions of generators (optionally also closed under
+    intersection, and under ranges), or a ``closure``; then, at random, one
+    member dropped or one random set added."""
+    verts = tuple(str(i) for i in range(1, rng.randint(1, 5) + 1))
+    edges = tuple(
+        Edge("e%d" % i, rng.choice(verts), rng.choice("ab"), rng.choice(verts))
+        for i in range(1, rng.randint(0, 2 * len(verts)) + 1)
+    )
+    g = LabelledGraph(verts, edges)
+
+    def subset():
+        return frozenset(v for v in verts if rng.random() < 0.5)
+
+    gens = [subset() for _ in range(rng.randint(0, 4))]
+    kind = rng.choice(("subsets", "unions", "lattice", "closure"))
+    if kind == "subsets":
+        sets = set(gens + [subset() for _ in range(rng.randint(0, 8))])
+    elif kind == "closure":
+        sets = set(closure(g, gens).sets)
+    else:
+        sets = _close(g, gens, kind == "lattice", rng.random() < 0.5)
+    sets = sorted(sets, key=vkey)
+    change = rng.choice(("none", "drop", "add"))
+    if change == "drop" and sets:
+        sets.pop(rng.randrange(len(sets)))
+    elif change == "add":
+        sets.append(subset())
+    return g, sets
+
+
+class TestValidateAgainstPairScans:
+    """``validate`` decides its flags from the per-vertex meets; the pair
+    scans it replaced (``oracles.validate_by_pairs``) must give the same
+    report, flags and first witnesses alike."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_same_report(self, rng):
+        g, sets = random_case(rng)
+        assert validate(g, sets) == validate_by_pairs(g, sets)
+
+    def test_draws_cover_every_outcome(self):
+        seen = {}
+        for seed in range(1500):
+            g, sets = random_case(random.Random(seed))
+            report = validate(g, sets)
+            assert report == validate_by_pairs(g, sets), seed
+            key = (report.accommodating, report.weakly_left_resolving, report.complement_closed)
+            seen[key] = seen.get(key, 0) + 1
+        # rings, lattices that are not rings, complement-closed non-lattices,
+        # and failures of weak left resolving on and off lattices
+        for key in [(True, True, True), (True, True, False), (False, True, True),
+                    (True, False, True), (True, False, False), (False, False, False)]:
+            assert seen.get(key, 0) >= 10, (key, seen)
+
+    @pytest.mark.parametrize(
+        "sets, flags",
+        [
+            ([(), ("1",), ("2",)], (False, True, True)),
+            ([(), ("1",), ("1", "2"), ("1", "2", "3")], (True, True, False)),
+            ([(), ("1",), ("2", "3"), ("1", "2", "3")], (True, True, True)),
+        ],
+        ids=["complement-closed-not-lattice", "chain", "ring"],
+    )
+    def test_edge_cases(self, sets, flags):
+        g = LabelledGraph(("1", "2", "3"), (Edge("e1", "1", "a", "1"),
+                                            Edge("e2", "2", "a", "2"),
+                                            Edge("e3", "3", "a", "3")))
+        sets = [frozenset(s) for s in sets]
+        report = validate(g, sets)
+        assert report == validate_by_pairs(g, sets)
+        assert (report.accommodating, report.weakly_left_resolving,
+                report.complement_closed) == flags
+
+
+def powerset_text(n):
+    """A left-resolving graph on n vertices (v_i -a-> v_i+1 and v_i -b->
+    v_i+2, indices mod n) with the powerset family."""
+    lines = ["vertices %s" % " ".join("v%d" % i for i in range(n))]
+    for i in range(n):
+        lines.append("edge v%d a v%d" % (i, (i + 1) % n))
+        lines.append("edge v%d b v%d" % (i, (i + 2) % n))
+    return "\n".join(lines + ["family powerset"]) + "\n"
+
+
+class TestValidationScale:
+    def test_powerset_steps_once_per_meet_and_letter(self, monkeypatch):
+        n = 12
+        calls = [0]
+        step = LabelledGraph.step
+
+        def counted(self, members, letter):
+            calls[0] += 1
+            return step(self, members, letter)
+
+        monkeypatch.setattr(LabelledGraph, "step", counted)
+        g, fam = parse_graph_file(powerset_text(n))
+        assert is_left_resolving(g) and len(fam) == 2**n
+        assert fam.weakly_left_resolving and fam.complement_closed
+        # the pair scans stepped every member: |F| * |letters| = 8192 calls
+        assert calls[0] <= (n + 1) * len(g.alphabet)
+
+    def test_fourteen_vertex_powerset_parses(self):
+        g, fam = parse_graph_file(powerset_text(14))
+        assert len(fam) == 2**14
+        assert fam.weakly_left_resolving and fam.complement_closed
 
 
 class TestComplementIdentity:
