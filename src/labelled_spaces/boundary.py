@@ -210,18 +210,16 @@ def isolated_points(g, max_prefix):
     singleton).  An infinite path is isolated exactly when some prefix lands
     in a cone where every reachable vertex has out-degree one, i.e. when its
     cycle is deterministic; representatives are listed with prefixes of
-    length at most ``max_prefix``.
+    length at most ``max_prefix``.  The cycle is simple, so a (chain, rotation)
+    pair is a canonical lasso, built once, exactly when the chain is empty or
+    does not end with the rotation's last edge.
     """
+    rotations = [c[p:] + c[:p] for c in _deterministic_cycles(g) for p in range(len(c))]
+    infinite = [
+        make_infinite_path(g, chain, rotated)
+        for rotated in rotations
+        for chain in _backward_chains(g, rotated[0].src, max_prefix)
+        if not chain or chain[-1] != rotated[-1]
+    ]
     finite = _finite_boundary_paths(g, max_prefix)
-    infinite = {}
-    for cycle in _deterministic_cycles(g):
-        for phase in range(len(cycle)):
-            rotated = cycle[phase:] + cycle[:phase]
-            for chain in _backward_chains(g, rotated[0].src, max_prefix):
-                path = make_infinite_path(g, chain, rotated)
-                if len(path.prefix) <= max_prefix:
-                    infinite.setdefault((path.prefix, path.cycle), path)
-    return tuple(
-        sorted(finite, key=FinitePath.sort_key)
-        + sorted(infinite.values(), key=InfinitePath.sort_key)
-    )
+    return finite + tuple(sorted(infinite, key=InfinitePath.sort_key))

@@ -22,7 +22,12 @@ that the following hold, each exactly, both ways:
     disjoint, and on a lattice it then fails (both meets are members);
 (d) a lattice is closed under relative complements iff its distinct meets
     are pairwise disjoint: it is a ring of sets, all unions of the blocks of
-    one partition.
+    one partition;
+(e) on a lattice an atom of the algebra below R (a minimal nonzero member
+    inside R) is M_v for each v in it: the atoms are the minimal meets in R;
+(f) ``closure`` is all unions of the blocks of the coarsest partition of the
+    generators' union (the seeds and letter ranges) in which each generator
+    and each r(block, b) is a union of blocks (Paige & Tarjan, 1987).
 
 So on a lattice each flag is decided from the meets, and the pair scans run
 only for a flag that is false, to name the first witness in the order they
@@ -45,6 +50,8 @@ class ValidationReport:
     weakly_left_resolving: bool
     complement_closed: bool
     witnesses: dict
+    # the minimal meets, in order: the atoms of (e)
+    atoms: tuple = field(default=(), compare=False, repr=False)
 
     def flags_line(self):
         return "accommodating=%s wlr=%s complements=%s" % (
@@ -79,7 +86,8 @@ def validate(g, sets):
     for a in members:
         for v in a:
             meets[v] = meets[v] & a if v in meets else a
-    blocks = set(meets.values())
+    blocks = sort_sets(meets.values())
+    atoms = tuple(m for m in blocks if all(meets[u] == m for u in m))
 
     lattice = frozenset() in lookup and all(
         a | m in lookup for a in members for m in blocks if not m <= a
@@ -89,7 +97,7 @@ def validate(g, sets):
         and all(range_of(g, (b,)) in lookup for b in g.alphabet)
         and all(g.step(m, b) in lookup for m in blocks for b in g.alphabet)
     )
-    ring = lattice and all(meets[u] == m for m in blocks for u in m)
+    ring = lattice and len(atoms) == len(blocks)
     preds = {}
     for e in g.edges:
         preds.setdefault((e.label, e.dst), set()).add(e.src)
@@ -108,6 +116,7 @@ def validate(g, sets):
         "weakly_left_resolving" not in witnesses,
         "complement_closed" not in witnesses,
         witnesses,
+        atoms,
     )
 
 
@@ -257,39 +266,43 @@ class AccommodatingFamily:
 
 def closure(g, seeds):
     """Smallest family containing the seeds and all letter ranges that is
-    closed under union, intersection, relative complement, and single-letter
-    relative ranges.  Terminates: there are at most 2^|vertices| sets.
-    """
+    closed under union, intersection, relative complement and single-letter
+    relative ranges, by partition refinement as in (f): at most 2|V| - 1
+    blocks are made, each stepped once per letter."""
     for s in seeds:
         g.check_vertices(s)
-    current = {frozenset(s) for s in seeds}
-    current.add(frozenset())
-    for b in g.alphabet:
-        current.add(range_of(g, (b,)))
-    while True:
-        new = set()
-        items = sorted(current, key=vkey)
-        for i, a in enumerate(items):
-            for bset in items[i:]:
-                for candidate in (a | bset, a & bset, a - bset, bset - a):
-                    if candidate not in current:
-                        new.add(candidate)
-            for letter in g.alphabet:
-                candidate = g.step(a, letter)
-                if candidate not in current:
-                    new.add(candidate)
-        if not new:
-            break
-        current |= new
-    return AccommodatingFamily(g, tuple(current))
+    splitters = [frozenset(s) for s in seeds] + [range_of(g, (b,)) for b in g.alphabet]
+    blocks = set()
+
+    def add(block):
+        blocks.add(block)
+        splitters.extend(g.step(block, b) for b in g.alphabet)
+
+    top = frozenset().union(*splitters)
+    if top:
+        add(top)
+    while splitters:
+        splitter = splitters.pop()
+        for block in [m for m in blocks if m & splitter and m - splitter]:
+            blocks.remove(block)
+            add(block & splitter)
+            add(block - splitter)
+    return _unions(g, blocks)
 
 
 def powerset_family(g):
     """The full powerset family; always accommodating and complement closed."""
-    verts = list(g.vertices)
-    sets = []
-    for mask in range(1 << len(verts)):
-        sets.append(frozenset(v for i, v in enumerate(verts) if mask >> i & 1))
+    return _unions(g, [frozenset((v,)) for v in g.vertices])
+
+
+def _unions(g, blocks):
+    """The family of all unions of disjoint blocks, refused past 2^16 members."""
+    if len(blocks) > 16:
+        raise InputError("family would have %d members; at most 65536 are supported"
+                         % (1 << len(blocks)))
+    sets = [frozenset()]
+    for block in blocks:
+        sets += [s | block for s in sets]
     return AccommodatingFamily(g, tuple(sets))
 
 
@@ -319,8 +332,7 @@ class RestrictedAlgebra:
     def build(cls, family, restriction):
         elements = tuple(s for s in family.sets if s <= restriction)
         top = restriction if restriction in family._lookup else None
-        nonzero = [s for s in elements if s]
-        atoms = tuple(s for s in nonzero if not any(o < s for o in nonzero))
+        atoms = tuple(m for m in family.report.atoms if m <= restriction)
         return cls(family, restriction, top, elements, atoms)
 
     def __contains__(self, vset):

@@ -2,12 +2,11 @@
 
 A labelled graph is a finite directed graph together with a letter attached
 to each edge.  The alphabet is always the exact image of the labelling, so a
-letter with no edge cannot occur.  All values are immutable; every function
-here is pure.
+letter with no edge cannot occur.  All values are immutable (a graph keeps
+the relative ranges it has computed); every function here is pure.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import InputError
 
@@ -30,8 +29,11 @@ class LabelledGraph:
     vertices: tuple
     edges: tuple
     alphabet: tuple = field(init=False, compare=False)
+    vertex_set: frozenset = field(init=False, compare=False, repr=False)
     _by_label: dict = field(init=False, compare=False, repr=False)
     _into: dict = field(init=False, compare=False, repr=False)
+    _out: dict = field(init=False, compare=False, repr=False)
+    _ranges: dict = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -46,36 +48,37 @@ class LabelledGraph:
                 raise InputError("edge %s uses an unknown vertex" % e)
         by_label = {}
         into = {v: [] for v in vertices}
+        out = {v: [] for v in vertices}
         for e in edges:
             by_label.setdefault(e.label, {}).setdefault(e.src, set())
             by_label[e.label][e.src].add(e.dst)
             into[e.dst].append(e)
+            out[e.src].append(e)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "alphabet", tuple(sorted(by_label)))
+        object.__setattr__(self, "vertex_set", frozenset(vertices))
         object.__setattr__(
             self,
             "_by_label",
             {b: {v: frozenset(t) for v, t in m.items()} for b, m in by_label.items()},
         )
         object.__setattr__(self, "_into", {v: tuple(es) for v, es in into.items()})
-        # every relative-range cache lookup hashes the graph: hash the edges once
+        object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
+        object.__setattr__(self, "_ranges", {})
+        # families and algebras hash their graph: hash the edges once
         object.__setattr__(self, "_hash", hash((vertices, edges)))
 
     def __hash__(self):
         return self._hash
 
-    @property
-    def vertex_set(self):
-        return frozenset(self.vertices)
-
     def check_vertices(self, members):
-        unknown = set(members) - set(self.vertices)
-        if unknown:
+        if not self.vertex_set.issuperset(members):
+            unknown = set(members) - self.vertex_set
             raise InputError("unknown vertices: %s" % " ".join(sorted(unknown)))
 
     def check_word(self, word):
-        unknown = set(word) - set(self.alphabet)
+        unknown = set(word).difference(self._by_label)
         if unknown:
             raise InputError("unknown letters: %s" % " ".join(sorted(unknown)))
 
@@ -88,33 +91,30 @@ class LabelledGraph:
         return frozenset(out)
 
     def edges_from(self, vertex):
-        return tuple(e for e in self.edges if e.src == vertex)
+        return self._out[vertex]
 
     def edges_into(self, vertex):
         return self._into[vertex]
 
     def out_degree(self, vertex):
-        return sum(1 for e in self.edges if e.src == vertex)
+        return len(self._out[vertex])
 
 
 def relative_range(g, members, word):
     """Vertices reachable from ``members`` along a path labelled ``word``.
 
     The empty word maps every set to itself.  Computed letter by letter via
-    r(r(A, b), w) = r(A, bw); cost O(|word| * |edges|).
+    r(r(A, b), w) = r(A, bw), once per (members, word): the graph keeps them.
     """
     g.check_vertices(members)
     g.check_word(word)
-    return _relative_range(g, frozenset(members), tuple(word))
-
-
-@lru_cache(maxsize=None)
-def _relative_range(g, members, word):
-    out = members
-    for letter in word:
-        out = g.step(out, letter)
-        if not out:
-            return frozenset()
+    key = (frozenset(members), tuple(word))
+    out = g._ranges.get(key)
+    if out is None:
+        out = key[0]
+        for letter in key[1]:
+            out = out and g.step(out, letter)
+        g._ranges[key] = out
     return out
 
 
@@ -131,8 +131,7 @@ def is_labelled_path(g, word):
 def label_edge_set(g, members):
     """Labels of the edges whose source lies in ``members``."""
     g.check_vertices(members)
-    members = set(members)
-    return frozenset(e.label for e in g.edges if e.src in members)
+    return frozenset(e.label for v in set(members) for e in g.edges_from(v))
 
 
 def emits_infinitely(g, members):
@@ -147,8 +146,7 @@ def emits_infinitely(g, members):
 
 def sinks(g):
     """Vertices with no outgoing edge."""
-    sources = {e.src for e in g.edges}
-    return frozenset(v for v in g.vertices if v not in sources)
+    return frozenset(v for v in g.vertices if not g.out_degree(v))
 
 
 def singular_vertices(g):

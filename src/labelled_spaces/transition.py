@@ -1,10 +1,12 @@
 """The finite transition graph certifying all infinite-type ultrafilters.
 
-Nodes pair a reachable range set R with an atom of the algebra below R; an
-edge (R, F) -b-> (R', F') says that R' = r(R, b) and that the preimage of F'
-under r(., b) is F.  Infinite directed paths through the graph, entered with
-a letter whose range matches the first node, are exactly the towers whose
-levels are all ultrafilters, i.e. the infinite-type ultrafilters.
+Nodes pair a reachable range set R with an atom A of the algebra below R,
+and (R, A) -b-> (r(R, b), A') is an arc exactly when A' <= r(A, b): R is the
+disjoint union of its atoms and, by weak left resolvability, r keeps them
+disjoint, so up(A) is the preimage of up(A') under r(., b) for exactly one A.
+Infinite directed paths through the graph, entered with a letter whose range
+matches the first node, are exactly the towers whose levels are all
+ultrafilters, i.e. the infinite-type ultrafilters.
 
 Requires the family to be closed under relative complements; for other
 families the maximal-family search over finite words is the supported route.
@@ -12,7 +14,7 @@ families the maximal-family search over finite words is the supported route.
 
 from dataclasses import dataclass
 
-from .filters import LassoFilterFamily, _preimage_gen
+from .filters import LassoFilterFamily
 from .graph import range_of
 from .util import format_vset, vkey
 
@@ -37,20 +39,15 @@ class UltrafilterTransitionGraph:
         g = fam.graph
         # the range set a word starting with each letter enters at level 1
         self._first = {b: range_of(g, (b,)) for b in g.alphabet}
-        ranges = set()
-        frontier = [r for r in self._first.values() if r]
-        while frontier:
-            nxt = []
-            for r in frontier:
-                if r in ranges:
-                    continue
-                ranges.add(r)
-                for b in g.alphabet:
-                    stepped = g.step(r, b)
-                    if stepped and stepped not in ranges:
-                        nxt.append(stepped)
-            frontier = nxt
-        self.ranges = tuple(sorted(ranges, key=vkey))
+        # each reachable range with its nonempty ranges along single letters
+        succ = {}
+        todo = [r for r in self._first.values() if r]
+        while todo:
+            r = todo.pop()
+            if r not in succ:
+                succ[r] = [(b, s) for b in g.alphabet if (s := g.step(r, b))]
+                todo.extend(s for _, s in succ[r])
+        self.ranges = tuple(sorted(succ, key=vkey))
         self._over = nodes = {
             r: tuple(UTGNode(r, atom) for atom in sorted(fam.algebra_over(r).atoms, key=vkey))
             for r in self.ranges
@@ -58,12 +55,10 @@ class UltrafilterTransitionGraph:
         self.nodes = tuple(n for r in self.ranges for n in nodes[r])
         edges = []
         for r in self.ranges:
-            source = fam.algebra_over(r)
-            for b in g.alphabet:
-                for dst in nodes.get(g.step(r, b), ()):
-                    pre = _preimage_gen(fam, source, dst.atom, (b,))
-                    if pre in source.atoms:
-                        edges.append((UTGNode(r, pre), b, dst))
+            for b, stepped in succ[r]:
+                for src in nodes[r]:
+                    reach = g.step(src.atom, b)
+                    edges.extend((src, b, dst) for dst in nodes[stepped] if dst.atom <= reach)
         self.edges = tuple(
             sorted(edges, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key()))
         )
@@ -96,13 +91,10 @@ class UltrafilterTransitionGraph:
 
         The level data of a tower is its (letter, atom) sequence, read off a
         walk that enters the graph with a letter whose range is the first
-        node's range set.  The arcs out of a node (R, A) depend on its atom
-        alone, as the lasso walker needs: (R, A) -b-> (r(R, b), A') exactly
-        when A' <= r(A, b).  (The atoms below R are the family's atoms inside
-        R, and weak left resolvability makes A the only atom whose range
-        along b meets A'.)  Each canonical lasso within the bounds comes from
-        one walk, so a tower is built only for the lassos returned and the
-        cost follows the output.
+        node's range set.  By the arc rule (module docstring) the arcs out
+        of a node depend on its atom alone, as the lasso walker needs.  Each
+        canonical lasso within the bounds comes from one walk, so a tower is
+        built only for the lassos returned and the cost follows the output.
         """
         starts = [((b, n.atom), n) for b, r in self._first.items() for n in self._over.get(r, ())]
 

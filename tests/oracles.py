@@ -417,3 +417,115 @@ def validate_by_pairs(g, sets):
             break
 
     return ValidationReport(accommodating, weakly_left_resolving, complement_closed, witnesses)
+
+
+def closure_by_pairs(g, seeds):
+    """The pairwise fixed point that ``labelled_spaces.family.closure``
+    replaced by partition refinement, kept verbatim as its differential
+    oracle: every round pairs every member with every other.
+
+    Smallest family containing the seeds and all letter ranges that is
+    closed under union, intersection, relative complement, and single-letter
+    relative ranges.  Terminates: there are at most 2^|vertices| sets.
+    """
+    from labelled_spaces.family import AccommodatingFamily
+    from labelled_spaces.graph import range_of
+    from labelled_spaces.util import vkey
+
+    for s in seeds:
+        g.check_vertices(s)
+    current = {frozenset(s) for s in seeds}
+    current.add(frozenset())
+    for b in g.alphabet:
+        current.add(range_of(g, (b,)))
+    while True:
+        new = set()
+        items = sorted(current, key=vkey)
+        for i, a in enumerate(items):
+            for bset in items[i:]:
+                for candidate in (a | bset, a & bset, a - bset, bset - a):
+                    if candidate not in current:
+                        new.add(candidate)
+            for letter in g.alphabet:
+                candidate = g.step(a, letter)
+                if candidate not in current:
+                    new.add(candidate)
+        if not new:
+            break
+        current |= new
+    return AccommodatingFamily(g, tuple(current))
+
+
+def atoms_by_pairs(family, restriction):
+    """The atoms of the algebra of members inside ``restriction`` by the pair
+    scan ``RestrictedAlgebra.build`` used before it read them off the minimal
+    meets: the nonzero elements with no nonzero element strictly below."""
+    elements = tuple(s for s in family.sets if s <= restriction)
+    nonzero = [s for s in elements if s]
+    return tuple(s for s in nonzero if not any(o < s for o in nonzero))
+
+
+def preimage_arcs(fam):
+    """The transition graph's arcs by the rule it was built with before the
+    arc rule A' <= r(A, b): one preimage scan per (range, letter, target), an
+    arc where the preimage generator is an atom.  Ranges and atoms are found
+    here too (atoms by ``atoms_by_pairs``), so nothing is read off the graph
+    under test."""
+    from labelled_spaces.filters import _preimage_gen
+    from labelled_spaces.graph import range_of
+    from labelled_spaces.transition import UTGNode
+    from labelled_spaces.util import vkey
+
+    g = fam.graph
+    ranges = set()
+    frontier = [r for r in (range_of(g, (b,)) for b in g.alphabet) if r]
+    while frontier:
+        nxt = []
+        for r in frontier:
+            if r in ranges:
+                continue
+            ranges.add(r)
+            for b in g.alphabet:
+                stepped = g.step(r, b)
+                if stepped and stepped not in ranges:
+                    nxt.append(stepped)
+        frontier = nxt
+    nodes = {r: tuple(UTGNode(r, a) for a in atoms_by_pairs(fam, r)) for r in ranges}
+    edges = []
+    for r in sorted(ranges, key=vkey):
+        source = fam.algebra_over(r)
+        atoms = atoms_by_pairs(fam, r)
+        for b in g.alphabet:
+            for dst in nodes.get(g.step(r, b), ()):
+                pre = _preimage_gen(fam, source, dst.atom, (b,))
+                if pre in atoms:
+                    edges.append((UTGNode(r, pre), b, dst))
+    return tuple(sorted(edges, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key())))
+
+
+def isolated_points_by_dedup(g, max_prefix):
+    """``labelled_spaces.boundary.isolated_points`` as it was before it kept
+    only canonical (chain, rotation) pairs: it builds a path for every pair
+    and drops repeats and over-long prefixes afterwards."""
+    from labelled_spaces.boundary import (
+        FinitePath,
+        InfinitePath,
+        _backward_chains,
+        _deterministic_cycles,
+        _finite_boundary_paths,
+        make_infinite_path,
+    )
+
+    finite = _finite_boundary_paths(g, max_prefix)
+    infinite = {}
+    for cycle in _deterministic_cycles(g):
+        for phase in range(len(cycle)):
+            rotated = cycle[phase:] + cycle[:phase]
+            for chain in _backward_chains(g, rotated[0].src, max_prefix):
+                path = make_infinite_path(g, chain, rotated)
+                if len(path.prefix) <= max_prefix:
+                    infinite.setdefault((path.prefix, path.cycle), path)
+    return tuple(
+        sorted(finite, key=FinitePath.sort_key)
+        + sorted(infinite.values(), key=InfinitePath.sort_key)
+    )

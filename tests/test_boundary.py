@@ -1,14 +1,21 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelled_spaces import (
     DomainError,
+    Edge,
+    LabelledGraph,
     boundary_paths,
     isolated_points,
     make_finite_path,
     make_infinite_path,
 )
+from labelled_spaces import boundary
 from labelled_spaces.boundary import FinitePath, InfinitePath
-from oracles import finite_boundary_brute
+from oracles import finite_boundary_brute, isolated_points_by_dedup
 
 
 def by_str(points):
@@ -124,3 +131,39 @@ class TestIsolatedPoints:
     def test_single_loop_everything_isolated(self, single_loop):
         g, _ = single_loop
         assert len(isolated_points(g, 0)) == 1
+
+
+def sparse_graph(rng):
+    """A random graph on at most six vertices with zero to two out-edges per
+    vertex, so that deterministic cycles, with chains into them, are common."""
+    verts = tuple("v%d" % i for i in range(rng.randint(1, 6)))
+    edges = [(v, rng.choice("ab"), rng.choice(verts))
+             for v in verts for _ in range(rng.choice((0, 1, 1, 1, 2)))]
+    return LabelledGraph(verts, tuple(Edge("e%d" % i, *e) for i, e in enumerate(edges)))
+
+
+class TestIsolatedPointsAgainstDedup:
+    """``isolated_points`` builds only canonical (chain, rotation) pairs; the
+    build-then-deduplicate listing it replaced must give the same points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 3))
+    def test_same_points(self, rng, bound):
+        g = sparse_graph(rng)
+        assert isolated_points(g, bound) == isolated_points_by_dedup(g, bound)
+
+    def test_each_path_is_built_once(self, monkeypatch, twins3, single_loop):
+        cases = [twins3[0], single_loop[0]] + [sparse_graph(random.Random(s)) for s in range(50)]
+        make = boundary.make_infinite_path
+        built = []
+
+        def counted(*args):
+            built.append(make(*args))
+            return built[-1]
+
+        monkeypatch.setattr(boundary, "make_infinite_path", counted)
+        for g in cases:
+            for bound in (0, 2):
+                built.clear()
+                infinite = [p for p in isolated_points(g, bound) if isinstance(p, InfinitePath)]
+                assert sorted(built, key=InfinitePath.sort_key) == infinite

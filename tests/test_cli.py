@@ -127,6 +127,18 @@ class TestExitCodes:
         assert code == 2
         assert err.count("error:") == 1
 
+    def test_oversized_powerset_is_two(self, tmp_path):
+        # 2^17 members: refused before any is listed
+        big = tmp_path / "big.lgr"
+        verts = ["v%02d" % i for i in range(17)]
+        edges = ["edge %s a %s" % (v, verts[(i + 1) % 17]) for i, v in enumerate(verts)]
+        big.write_text("\n".join(["vertices " + " ".join(verts)] + edges + ["family powerset"]))
+        code, out, err = run(["validate", str(big)])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 19: family would have 131072 members; at most 65536 are supported\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -10,17 +10,25 @@ from labelled_spaces import (
     Edge,
     InputError,
     LabelledGraph,
+    UltrafilterTransitionGraph,
     UnsupportedFamilyError,
     closure,
     is_left_resolving,
     powerset_family,
+    range_of,
     relative_range,
     validate,
 )
 from labelled_spaces import fixtures
 from labelled_spaces.lgrfile import parse_graph_file
 from labelled_spaces.util import sort_sets, vkey
-from oracles import step_brute, validate_by_pairs
+from oracles import (
+    atoms_by_pairs,
+    closure_by_pairs,
+    preimage_arcs,
+    step_brute,
+    validate_by_pairs,
+)
 
 
 def fset(*items):
@@ -184,18 +192,24 @@ def _close(g, gens, meets, ranges):
         family |= new
 
 
-def random_case(rng):
-    """A random graph on at most five vertices (two letters, edges drawn at
-    random, so often not weakly left resolving) and a family of one kind:
-    arbitrary subsets, all unions of generators (optionally also closed under
-    intersection, and under ranges), or a ``closure``; then, at random, one
-    member dropped or one random set added."""
+def random_graph(rng):
+    """A random graph on at most five vertices with two letters; its edges
+    are drawn at random, so it is often not weakly left resolving."""
     verts = tuple(str(i) for i in range(1, rng.randint(1, 5) + 1))
     edges = tuple(
         Edge("e%d" % i, rng.choice(verts), rng.choice("ab"), rng.choice(verts))
         for i in range(1, rng.randint(0, 2 * len(verts)) + 1)
     )
-    g = LabelledGraph(verts, edges)
+    return LabelledGraph(verts, edges)
+
+
+def random_case(rng):
+    """A ``random_graph`` and a family of one kind: arbitrary subsets, all
+    unions of generators (optionally also closed under intersection, and
+    under ranges), or a ``closure``; then, at random, one member dropped or
+    one random set added."""
+    g = random_graph(rng)
+    verts = g.vertices
 
     def subset():
         return frozenset(v for v in verts if rng.random() < 0.5)
@@ -293,6 +307,132 @@ class TestValidationScale:
         g, fam = parse_graph_file(powerset_text(14))
         assert len(fam) == 2**14
         assert fam.weakly_left_resolving and fam.complement_closed
+
+
+def random_family(rng):
+    """A ``random_graph`` with an accommodating family of one kind: a
+    ``closure`` of random seeds, the powerset, or a lattice closed under
+    ranges generated by random sets (often not a ring)."""
+    g = random_graph(rng)
+    gens = [frozenset(v for v in g.vertices if rng.random() < 0.5)
+            for _ in range(rng.randint(0, 3))]
+    kind = rng.choice(("closure", "powerset", "lattice"))
+    if kind == "closure":
+        return g, closure(g, gens)
+    if kind == "powerset":
+        return g, powerset_family(g)
+    return g, AccommodatingFamily(g, tuple(_close(g, gens, True, True)))
+
+
+def cycle_graph(n):
+    """The one-letter cycle v00 -a-> v01 -a-> ... -a-> v00 on n vertices."""
+    verts = tuple("v%02d" % i for i in range(n))
+    return LabelledGraph(
+        verts, tuple(Edge("e%d" % i, v, "a", verts[(i + 1) % n]) for i, v in enumerate(verts))
+    )
+
+
+class TestClosureAgainstPairs:
+    """``closure`` refines a partition; the pairwise fixed point it replaced
+    (``oracles.closure_by_pairs``) must give the same family."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_same_family(self, rng):
+        g = random_graph(rng)
+        seeds = [frozenset(v for v in g.vertices if rng.random() < 0.5)
+                 for _ in range(rng.randint(0, 3))]
+        assert closure(g, seeds).sets == closure_by_pairs(g, seeds).sets
+
+    def test_fixtures(self, loops4, twins3):
+        for g, fam in (loops4, twins3):
+            for seeds in ([], [fam.sets[1]], list(fam.sets)):
+                assert closure(g, seeds).sets == closure_by_pairs(g, seeds).sets
+
+    def test_cycle_steps_per_block_and_letter(self, monkeypatch):
+        n = 12
+        g = cycle_graph(n)
+        calls = [0]
+        step = LabelledGraph.step
+
+        def counted(self, members, letter):
+            calls[0] += 1
+            return step(self, members, letter)
+
+        monkeypatch.setattr(LabelledGraph, "step", counted)
+        fam = closure(g, [fset("v00")])
+        assert len(fam) == 2**n and fam.complement_closed
+        # the pairwise fixed point stepped every member of every round: 8,214 calls
+        assert calls[0] <= 4 * n * len(g.alphabet)
+
+
+class TestAtomsAgainstPairs:
+    """A restricted algebra reads its atoms off the family's minimal meets;
+    the pair scan over its elements (``oracles.atoms_by_pairs``) must agree,
+    on rings and on lattices that are not rings."""
+
+    @staticmethod
+    def restrictions(g, fam, rng):
+        words = [(b,) for b in g.alphabet] + [(b, c) for b in g.alphabet for c in g.alphabet]
+        yield g.vertex_set
+        yield from fam.sets
+        yield from (range_of(g, w) for w in words)
+        for _ in range(3):
+            yield frozenset(v for v in g.vertices if rng.random() < 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_same_atoms(self, rng):
+        g, fam = random_family(rng)
+        for r in self.restrictions(g, fam, rng):
+            assert fam.algebra_over(r).atoms == atoms_by_pairs(fam, r)
+
+    def test_fixtures(self, loops4, chain7, twins3):
+        for g, fam in (loops4, chain7, twins3):
+            for r in self.restrictions(g, fam, random.Random(0)):
+                assert fam.algebra_over(r).atoms == atoms_by_pairs(fam, r)
+
+
+class TestArcsAgainstPreimages:
+    """The transition graph adds (R, A) -b-> (r(R, b), A') when A' <= r(A, b);
+    the preimage scan it replaced (``oracles.preimage_arcs``) must give the
+    same arcs on every family the graph accepts."""
+
+    @staticmethod
+    def check(fam):
+        try:
+            utg = UltrafilterTransitionGraph(fam)
+        except DomainError:
+            assert not (fam.complement_closed and fam.weakly_left_resolving)
+            return False
+        assert utg.edges == preimage_arcs(fam)
+        return True
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_same_arcs(self, rng):
+        self.check(random_family(rng)[1])
+
+    def test_draws_build_graphs(self):
+        built = sum(self.check(random_family(random.Random(seed))[1]) for seed in range(400))
+        assert built >= 200, built
+
+    def test_fixtures(self, loops4, loops4_pow, twins2, twins3, single_loop):
+        for _, fam in (loops4, loops4_pow, twins2, twins3, single_loop):
+            assert self.check(fam)
+
+
+class TestFamilySizeBudget:
+    def test_powerset_past_the_budget_is_refused(self):
+        with pytest.raises(InputError, match="family would have 131072 members"):
+            powerset_family(cycle_graph(17))
+
+    def test_closure_past_the_budget_is_refused(self):
+        with pytest.raises(InputError, match="family would have 131072 members"):
+            closure(cycle_graph(17), [fset("v00")])
+
+    def test_sixteen_blocks_are_listed(self):
+        assert len(closure(cycle_graph(16), [fset("v00")])) == 2**16
 
 
 class TestComplementIdentity:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +59,15 @@ class TestRelativeRange:
         g, _ = loops4
         with pytest.raises(InputError):
             relative_range(g, {"1"}, ("b",))
+
+
+    def test_ranges_do_not_keep_the_graph_alive(self):
+        g = LabelledGraph(("u", "v"), (Edge("e1", "u", "a", "v"),))
+        assert relative_range(g, {"u"}, ("a",)) == fset("v")
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
 
 
 class TestRange:

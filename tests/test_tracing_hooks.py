@@ -5,6 +5,7 @@ traced benchmark run."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 
 import labelled_spaces.cli  # noqa: F401  the tracer wraps every layer module
@@ -42,3 +43,40 @@ def test_install_traces_and_uninstall_restores(loops4):
     spans = tracer.self_times()
     assert spans["filters.from_top"][0] == 1
     assert spans["filters.completion"][0] == 1
+
+
+class RecordingSpans(dict):
+    """Empty span totals that record every name looked up in them."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = set()
+
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return super().get(key, default)
+
+
+class IdleTracer:
+    def __init__(self):
+        self.spans = RecordingSpans()
+        self.counts = {}
+
+    def self_times(self):
+        return self.spans
+
+
+def test_layer_metrics_read_only_spans_the_tracer_makes():
+    # a renamed function or method would leave its per-layer metric at zero
+    tracing = load_tracing()
+    made = {name for _, _, _, name in tracing.METHODS}
+    for layer in tracing.LAYERS:
+        mod = importlib.import_module("labelled_spaces." + layer)
+        made |= {
+            "%s.%s" % (layer, attr) for attr, fn in vars(mod).items()
+            if not attr.startswith("_") and inspect.isfunction(fn)
+            and fn.__module__ == mod.__name__
+        }
+    tracer = IdleTracer()
+    tracing.layer_metrics(tracer)
+    assert tracer.spans.asked and tracer.spans.asked <= made, tracer.spans.asked - made
