@@ -34,10 +34,13 @@ only for a flag that is false, to name the first witness in the order they
 have always scanned.  A family that is not a lattice is not accommodating
 (and cannot be built); for it the weak-left-resolving scan decides the
 (b, vertex) checks that (c) does not clear, and the complement scan decides
-closure under relative complements.
+closure under relative complements.  A family built as all unions of
+disjoint blocks (``powerset_family``, ``closure``) is a ring by construction:
+its meets are its blocks, so it is accommodating and complement closed, and
+only (c) is checked.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .errors import DomainError, InputError, UnsupportedFamilyError
 from .graph import range_of, relative_range
@@ -80,7 +83,11 @@ def validate(g, sets):
     """
     for s in sets:
         g.check_vertices(s)
-    members = sort_sets(frozenset(s) for s in sets)
+    return _validate_members(g, sort_sets(frozenset(s) for s in sets))
+
+
+def _validate_members(g, members):
+    """``validate`` on members already deduplicated and in canonical order."""
     lookup = set(members)
     meets = {}
     for a in members:
@@ -98,16 +105,10 @@ def validate(g, sets):
         and all(g.step(m, b) in lookup for m in blocks for b in g.alphabet)
     )
     ring = lattice and len(atoms) == len(blocks)
-    preds = {}
-    for e in g.edges:
-        preds.setdefault((e.label, e.dst), set()).add(e.src)
-    suspects = [
-        (bv, srcs) for bv, srcs in sorted(preds.items()) if not _traces_meet(meets, srcs)
-    ]
 
     found = {
         "accommodating": None if accommodating else _accommodating_witness(g, members, lookup),
-        "weakly_left_resolving": _wlr_witness(members, suspects),
+        "weakly_left_resolving": _wlr_witness(members, _suspects(g, meets)),
         "complement_closed": None if ring else _complement_witness(members, lookup),
     }
     witnesses = {name: w for name, w in found.items() if w is not None}
@@ -118,6 +119,15 @@ def validate(g, sets):
         witnesses,
         atoms,
     )
+
+
+def _suspects(g, meets):
+    """The (letter, vertex) pairs, in order, with their letter-predecessors,
+    at which the weak-left-resolving check can fail by (c)."""
+    preds = {}
+    for e in g.edges:
+        preds.setdefault((e.label, e.dst), set()).add(e.src)
+    return [(bv, srcs) for bv, srcs in sorted(preds.items()) if not _traces_meet(meets, srcs)]
 
 
 def _traces_meet(meets, srcs):
@@ -186,7 +196,9 @@ class AccommodatingFamily:
 
     Construction validates the family once and keeps the ``ValidationReport``
     it built: the weakly-left-resolving and complement-closure flags, with
-    their witnesses, are read from it.
+    their witnesses, are read from it.  ``powerset_family`` and ``closure``
+    pass the report they built by construction (``_report``, with the
+    members already in canonical order), and nothing is validated again.
     """
 
     graph: object
@@ -194,10 +206,16 @@ class AccommodatingFamily:
     report: ValidationReport = field(init=False, compare=False, repr=False)
     _lookup: frozenset = field(init=False, compare=False, repr=False)
     _algebras: dict = field(init=False, compare=False, repr=False)
+    _report: InitVar = None
 
-    def __post_init__(self):
-        members = sort_sets(frozenset(s) for s in self.sets)
-        report = validate(self.graph, members)
+    def __post_init__(self, _report):
+        if _report is None:
+            members = sort_sets(frozenset(s) for s in self.sets)
+            for s in members:
+                self.graph.check_vertices(s)
+            report = _validate_members(self.graph, members)
+        else:
+            members, report = self.sets, _report
         if not report.accommodating:
             raise InputError(
                 "family is not accommodating: %s" % report.witness_text("accommodating")
@@ -296,14 +314,27 @@ def powerset_family(g):
 
 
 def _unions(g, blocks):
-    """The family of all unions of disjoint blocks, refused past 2^16 members."""
+    """The family of all unions of disjoint blocks, refused past 2^16 members.
+
+    Its report is read off the blocks: the family is a ring by construction
+    (accommodating and complement closed, its meets the blocks themselves),
+    and only the weak-left-resolving check (c) is run."""
     if len(blocks) > 16:
         raise InputError("family would have %d members; at most 65536 are supported"
                          % (1 << len(blocks)))
     sets = [frozenset()]
     for block in blocks:
         sets += [s | block for s in sets]
-    return AccommodatingFamily(g, tuple(sets))
+    # unions of disjoint nonempty blocks are distinct: no deduplication
+    members = tuple(sorted(sets, key=vkey))
+    meets = {v: block for block in blocks for v in block}
+    wlr = _wlr_witness(members, _suspects(g, meets))
+    report = ValidationReport(
+        True, wlr is None, True,
+        {} if wlr is None else {"weakly_left_resolving": wlr},
+        tuple(sorted(blocks, key=vkey)),
+    )
+    return AccommodatingFamily(g, members, _report=report)
 
 
 @dataclass(frozen=True)

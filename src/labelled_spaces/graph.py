@@ -134,16 +134,6 @@ def label_edge_set(g, members):
     return frozenset(e.label for v in set(members) for e in g.edges_from(v))
 
 
-def emits_infinitely(g, members):
-    """Whether ``members`` emits infinitely many labels.
-
-    Constantly false here: a finite graph has no infinite emitters.  Kept as
-    the explicit branch point used by the tightness tests so that truncated
-    models of infinite graphs have a single place to override.
-    """
-    return False
-
-
 def sinks(g):
     """Vertices with no outgoing edge."""
     return frozenset(v for v in g.vertices if not g.out_degree(v))

@@ -13,7 +13,7 @@ from .boundary import BoundaryReport, FinitePath, InfinitePath, boundary_paths
 from .errors import CoverError, DomainError
 from .family import powerset_family
 from .filters import FiniteFilterFamily, LassoFilterFamily, ultrafilters
-from .graph import emits_infinitely, is_left_resolving, labelled_words_up_to, sinks
+from .graph import is_left_resolving, labelled_words_up_to, sinks
 from .semigroup import SElement, make_element
 from .transition import UltrafilterTransitionGraph
 from .util import format_vset, vkey
@@ -33,16 +33,13 @@ def is_tight_finite_type(fam, word, flt):
     """Tightness of the finite-type tower with the given deepest filter.
 
     False unless the filter is an ultrafilter; otherwise its generator must
-    either emit infinitely many labels or contain a nonempty family member
-    made of sinks.  Monotonicity in the member reduces the check to the
+    contain a nonempty family member made of sinks (a finite graph has no
+    infinite emitters).  Monotonicity in the member reduces the check to the
     generator.
     """
     if not flt.is_ultrafilter:
         return False
-    gen = flt.gen
-    if emits_infinitely(fam.graph, gen):
-        return True
-    pocket = gen & sinks(fam.graph)
+    pocket = flt.gen & sinks(fam.graph)
     return any(b and b <= pocket for b in fam.algebra(word).elements)
 
 

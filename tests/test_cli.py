@@ -1,5 +1,8 @@
+import argparse
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -67,9 +70,12 @@ class TestExitCodes:
         code, _, err = run(["validate", "missing.lgr"])
         assert code == 2
 
-    def test_unknown_command_is_two(self):
-        code, _, _ = run(["frobnicate", "loops4.lgr"])
-        assert code == 2
+    def test_unknown_command_is_two(self, capsys):
+        code, out, err = run(["frobnicate", "loops4.lgr"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "frobnicate" in err
+        assert capsys.readouterr() == ("", "")
 
     def test_require_failure_is_one(self):
         code, _, _ = run(["validate", "chain7.lgr", "--require", "complements"])
@@ -94,15 +100,15 @@ class TestExitCodes:
 
     def test_validate_prints_the_report_built_on_load(self, monkeypatch):
         calls = []
-        validate = family.validate
+        validate_members = family._validate_members
 
         def counted(*args):
             calls.append(args)
-            return validate(*args)
+            return validate_members(*args)
 
-        monkeypatch.setattr(family, "validate", counted)
-        # a second validation called from the CLI itself would count too
-        monkeypatch.setattr(cli, "validate", counted, raising=False)
+        # every validation runs here, the family's own and any through the
+        # public ``validate``, so a second one from the CLI would count too
+        monkeypatch.setattr(family, "_validate_members", counted)
         code, out, _ = run(["validate", "chain7.lgr"])
         assert code == 0 and out.startswith("accommodating=true wlr=true complements=false\n")
         assert len(calls) == 1
@@ -152,10 +158,13 @@ class TestExitCodes:
         ids=["max-word", "max-cycle", "max-len", "compare-max-cycle", "depth", "max-prefix"],
     )
     def test_negative_bound_is_two(self, argv, capsys):
-        code, out, _ = run(argv)
+        code, out, err = run(argv)
         assert code == 2
         assert out == ""
-        assert capsys.readouterr().err.count("error:") == 1
+        # one line on the caller's error stream, nothing on the process's
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "expected a nonnegative integer, got '-1'" in err
+        assert capsys.readouterr() == ("", "")
 
     # a cycle bound far above the recursion limit: the lasso walker keeps its
     # walks on an explicit stack
@@ -186,3 +195,46 @@ class TestOutputs:
     def test_isolated_with_prefix_bound(self):
         _, out, _ = run(["isolated", "twins3.lgr", "--max-prefix", "2"])
         assert out.splitlines()[0] == "isolated points (4):"
+
+
+class TestParser:
+    def test_second_call_builds_no_parser(self, monkeypatch):
+        run(["inv", "loops4.lgr", "(a,{2 4},@)"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, out, _ = run(["inv", "loops4.lgr", "(a,{2 4},@)"])
+        assert (code, out) == (0, "(@,{2 4},a)\n")
+        assert built == []
+
+    def test_handler_is_looked_up_per_call(self, monkeypatch):
+        run(["tight", "single_loop.lgr", "--max-word", "0", "--max-cycle", "1"])
+
+        def patched(args, out):
+            out.write("patched %d %d\n" % (args.max_word, args.max_cycle))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_tight", patched)
+        assert run(["tight", "single_loop.lgr", "--max-word", "2"]) == (0, "patched 2 3\n", "")
+
+    def test_help_is_zero(self, capsys):
+        assert run(["--help"])[0] == 0
+        assert capsys.readouterr().out.startswith("usage: lspace")
+
+    def test_usage_error_through_process_streams(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "labelled_spaces.cli", "tight", "loops4.lgr",
+             "--max-word", "x"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

@@ -19,7 +19,7 @@ from labelled_spaces import (
     relative_range,
     validate,
 )
-from labelled_spaces import fixtures
+from labelled_spaces import family, fixtures
 from labelled_spaces.lgrfile import parse_graph_file
 from labelled_spaces.util import sort_sets, vkey
 from oracles import (
@@ -307,6 +307,62 @@ class TestValidationScale:
         g, fam = parse_graph_file(powerset_text(14))
         assert len(fam) == 2**14
         assert fam.weakly_left_resolving and fam.complement_closed
+
+
+class TestFamiliesByConstruction:
+    """``powerset_family`` and ``closure`` build their report from their
+    blocks instead of validating: it must equal ``validate``'s on the same
+    members, witnesses and atoms alike, and the members come out in
+    canonical order."""
+
+    @staticmethod
+    def draw(rng):
+        g = random_graph(rng)
+        if rng.random() < 0.5:
+            return g, powerset_family(g)
+        seeds = [frozenset(v for v in g.vertices if rng.random() < 0.5)
+                 for _ in range(rng.randint(0, 3))]
+        return g, closure(g, seeds)
+
+    @staticmethod
+    def check(g, fam):
+        report = validate(g, fam.sets)
+        assert fam.report == report
+        assert fam.report.atoms == report.atoms
+        assert fam.sets == sort_sets(fam.sets)
+        return fam.weakly_left_resolving
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_same_report(self, rng):
+        self.check(*self.draw(rng))
+
+    def test_draws_are_often_not_wlr(self):
+        wlr = [self.check(*self.draw(random.Random(seed))) for seed in range(600)]
+        assert 100 <= sum(wlr) <= 500, sum(wlr)
+
+    def test_fixtures(self, loops4, twins3):
+        for g, fam in (loops4, twins3):
+            self.check(g, powerset_family(g))
+            self.check(g, closure(g, [fam.sets[1]]))
+        self.check(*non_wlr_space())
+
+    @pytest.mark.parametrize("spec", ["powerset", "closure {v0}"])
+    def test_parse_never_validates(self, spec, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(family, "validate", counted("validate", family.validate))
+        monkeypatch.setattr(family, "_validate_members",
+                            counted("_validate_members", family._validate_members))
+        g, fam = parse_graph_file(powerset_text(6).replace("family powerset", "family " + spec))
+        assert fam.weakly_left_resolving and fam.complement_closed
+        assert calls == []
 
 
 def random_family(rng):
