@@ -6,7 +6,6 @@ anywhere.  Exit codes: 0 success, 1 semantic failure, 2 parse or usage error.
 """
 
 import argparse
-import functools
 import os
 import sys
 
@@ -204,58 +203,57 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name):
+    def add(name, fn):
         p = sub.add_parser(name)
         p.add_argument("graph", help=".lgr file (bare fixture names are resolved)")
+        p.set_defaults(fn=fn)
         return p
 
-    p = add("validate")
+    p = add("validate", cmd_validate)
     p.add_argument("--require", default="", help="comma list: accommodating,wlr,complements")
-    p = add("balgebra")
+    p = add("balgebra", cmd_balgebra)
     p.add_argument("--word", required=True)
-    p = add("mul")
+    p = add("mul", cmd_mul)
     p.add_argument("left")
     p.add_argument("right")
-    p = add("inv")
+    p = add("inv", cmd_inv)
     p.add_argument("element")
-    p = add("leq")
+    p = add("leq", cmd_leq)
     p.add_argument("left")
     p.add_argument("right")
-    p = add("ultrafilters")
+    p = add("ultrafilters", cmd_ultrafilters)
     p.add_argument("--word", required=True)
-    add("ufgraph")
-    p = add("tight")
+    add("ufgraph", cmd_ufgraph)
+    p = add("tight", cmd_tight)
     p.add_argument("--max-word", type=_bound, default=4)
     p.add_argument("--max-cycle", type=_bound, default=3)
-    p = add("boundary")
+    p = add("boundary", cmd_boundary)
     p.add_argument("--max-len", type=_bound, default=4)
     p.add_argument("--max-cycle", type=_bound, default=3)
-    p = add("compare")
+    p = add("compare", cmd_compare)
     p.add_argument("--max-len", type=_bound, default=4)
     p.add_argument("--max-cycle", type=_bound, default=3)
-    p = add("refute")
+    p = add("refute", cmd_refute)
     p.add_argument("--filter", required=True)
     p.add_argument("--depth", type=_bound, default=4)
-    p = add("isolated")
+    p = add("isolated", cmd_isolated)
     p.add_argument("--max-prefix", type=_bound, default=0)
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser, built on the first call rather than at import."""
-    return build_parser()
-
-
 def run_command(argv, out=None, err=None):
-    """Run one subcommand; its handler is ``cmd_<name>``, looked up per call."""
     out = out or sys.stdout
     err = err or sys.stderr
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
-        return globals()["cmd_" + args.command](args, out)
-    except SystemExit as exc:  # --help
-        return 2 if exc.code else 0
+        args = parser.parse_args(argv)
+    except SystemExit:  # --help; usage errors raise InputError instead
+        return 0
+    except InputError as exc:
+        err.write("error: %s\n" % exc)
+        return 2
+    try:
+        return args.fn(args, out)
     except (ParseError, InputError) as exc:
         err.write("error: %s\n" % exc)
         return 2

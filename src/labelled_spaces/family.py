@@ -197,8 +197,9 @@ class AccommodatingFamily:
     Construction validates the family once and keeps the ``ValidationReport``
     it built: the weakly-left-resolving and complement-closure flags, with
     their witnesses, are read from it.  ``powerset_family`` and ``closure``
-    pass the report they built by construction (``_report``, with the
-    members already in canonical order), and nothing is validated again.
+    pass the report they built by construction (the keyword-only
+    ``_report``, with the members already in canonical order), and nothing
+    is validated again.
     """
 
     graph: object
@@ -206,7 +207,7 @@ class AccommodatingFamily:
     report: ValidationReport = field(init=False, compare=False, repr=False)
     _lookup: frozenset = field(init=False, compare=False, repr=False)
     _algebras: dict = field(init=False, compare=False, repr=False)
-    _report: InitVar = None
+    _report: InitVar[ValidationReport] = field(default=None, kw_only=True)
 
     def __post_init__(self, _report):
         if _report is None:

@@ -347,6 +347,11 @@ class TestFamiliesByConstruction:
             self.check(g, closure(g, [fam.sets[1]]))
         self.check(*non_wlr_space())
 
+    def test_report_is_not_a_positional_argument(self, loops4):
+        g, fam = loops4
+        with pytest.raises(TypeError):
+            AccommodatingFamily(g, fam.sets, fam.report)
+
     @pytest.mark.parametrize("spec", ["powerset", "closure {v0}"])
     def test_parse_never_validates(self, spec, monkeypatch):
         calls = []
