@@ -120,18 +120,26 @@ class BoundaryReport:
 
 
 def _finite_boundary_paths(g, max_len):
+    """The finite boundary paths of at most ``max_len`` edges.  A walk is
+    grown only while its end can still reach a sink in the edges left, so
+    the work follows the paths found: none on a graph without sinks."""
     sing = singular_vertices(g)
+    # distance to the nearest sink, for the vertices within ``max_len`` of one
+    dist = dict.fromkeys(sing, 0)
+    layer = list(sing)
+    for n in range(1, max_len + 1):
+        layer = {e.src for v in layer for e in g.edges_into(v)} - dist.keys()
+        dist.update(dict.fromkeys(layer, n))
     out = [FinitePath(v, ()) for v in sorted(sing)]
-    frontier = [((), v) for v in sorted(g.vertices)]
-    for _ in range(max_len):
-        nxt = []
-        for edges, at in frontier:
-            for e in g.edges_from(at):
-                nxt.append((edges + (e,), e.dst))
-        frontier = nxt
-        for edges, at in frontier:
-            if at in sing:
-                out.append(FinitePath(edges[0].src, edges))
+    frontier = [((), v) for v in sorted(g.vertices) if v in dist]
+    for left in reversed(range(max_len)):
+        frontier = [
+            (edges + (e,), e.dst)
+            for edges, at in frontier
+            for e in g.edges_from(at)
+            if dist.get(e.dst, max_len) <= left
+        ]
+        out.extend(FinitePath(edges[0].src, edges) for edges, at in frontier if at in sing)
     return tuple(sorted(out, key=FinitePath.sort_key))
 
 

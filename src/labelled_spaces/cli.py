@@ -6,6 +6,7 @@ anywhere.  Exit codes: 0 success, 1 semantic failure, 2 parse or usage error.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -196,64 +197,62 @@ class _Parser(argparse.ArgumentParser):
         raise InputError("%s: %s" % (self.prog, message))
 
 
-def build_parser():
+def _bounded(flag, default):
+    return flag, {"type": _bound, "default": default}
+
+
+# each subcommand's arguments after the graph file, as (name or flag, keyword
+# arguments) pairs.  Its handler is ``cmd_<subcommand>``, looked up when the
+# call runs, so a patched handler is seen.
+_COMMANDS = {
+    "validate": [
+        ("--require", {"default": "", "help": "comma list: accommodating,wlr,complements"}),
+    ],
+    "balgebra": [("--word", {"required": True})],
+    "mul": [("left", {}), ("right", {})],
+    "inv": [("element", {})],
+    "leq": [("left", {}), ("right", {})],
+    "ultrafilters": [("--word", {"required": True})],
+    "ufgraph": [],
+    "tight": [_bounded("--max-word", 4), _bounded("--max-cycle", 3)],
+    "boundary": [_bounded("--max-len", 4), _bounded("--max-cycle", 3)],
+    "compare": [_bounded("--max-len", 4), _bounded("--max-cycle", 3)],
+    "refute": [("--filter", {"required": True}), _bounded("--depth", 4)],
+    "isolated": [_bounded("--max-prefix", 0)],
+}
+
+
+def build_parser(names=tuple(_COMMANDS)):
+    """The ``lspace`` parser with the subparsers of ``names`` (all by default)."""
     parser = _Parser(
         prog="lspace",
         description="Inverse semigroups of labelled spaces: filters, tight spectra, boundary paths.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn):
+    for name in names:
         p = sub.add_parser(name)
         p.add_argument("graph", help=".lgr file (bare fixture names are resolved)")
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("validate", cmd_validate)
-    p.add_argument("--require", default="", help="comma list: accommodating,wlr,complements")
-    p = add("balgebra", cmd_balgebra)
-    p.add_argument("--word", required=True)
-    p = add("mul", cmd_mul)
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("inv", cmd_inv)
-    p.add_argument("element")
-    p = add("leq", cmd_leq)
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("ultrafilters", cmd_ultrafilters)
-    p.add_argument("--word", required=True)
-    add("ufgraph", cmd_ufgraph)
-    p = add("tight", cmd_tight)
-    p.add_argument("--max-word", type=_bound, default=4)
-    p.add_argument("--max-cycle", type=_bound, default=3)
-    p = add("boundary", cmd_boundary)
-    p.add_argument("--max-len", type=_bound, default=4)
-    p.add_argument("--max-cycle", type=_bound, default=3)
-    p = add("compare", cmd_compare)
-    p.add_argument("--max-len", type=_bound, default=4)
-    p.add_argument("--max-cycle", type=_bound, default=3)
-    p = add("refute", cmd_refute)
-    p.add_argument("--filter", required=True)
-    p.add_argument("--depth", type=_bound, default=4)
-    p = add("isolated", cmd_isolated)
-    p.add_argument("--max-prefix", type=_bound, default=0)
+        for flag, kwargs in _COMMANDS[name]:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def run_command(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
+    # a known subcommand parses with its own subparser alone; anything else
+    # gets them all, so help and "invalid choice" list every subcommand
+    parser = build_parser(argv[:1]) if argv and argv[0] in _COMMANDS else build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
     except SystemExit:  # --help; usage errors raise InputError instead
         return 0
     except InputError as exc:
         err.write("error: %s\n" % exc)
         return 2
     try:
-        return args.fn(args, out)
+        return globals()["cmd_" + args.command](args, out)
     except (ParseError, InputError) as exc:
         err.write("error: %s\n" % exc)
         return 2

@@ -35,12 +35,12 @@ def is_tight_finite_type(fam, word, flt):
     False unless the filter is an ultrafilter; otherwise its generator must
     contain a nonempty family member made of sinks (a finite graph has no
     infinite emitters).  Monotonicity in the member reduces the check to the
-    generator.
+    generator, and to the atoms: every nonempty member contains one.
     """
     if not flt.is_ultrafilter:
         return False
     pocket = flt.gen & sinks(fam.graph)
-    return any(b and b <= pocket for b in fam.algebra(word).elements)
+    return any(a <= pocket for a in fam.algebra(word).atoms)
 
 
 def is_tight(fam, family):

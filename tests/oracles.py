@@ -529,3 +529,37 @@ def isolated_points_by_dedup(g, max_prefix):
         sorted(finite, key=FinitePath.sort_key)
         + sorted(infinite.values(), key=InfinitePath.sort_key)
     )
+
+
+def finite_boundary_paths_unpruned(g, max_len):
+    """``labelled_spaces.boundary._finite_boundary_paths`` as it was before it
+    grew walks only toward sinks: every walk of at most ``max_len`` edges is
+    grown, and the ones ending at a singular vertex are kept."""
+    from labelled_spaces.boundary import FinitePath
+    from labelled_spaces.graph import singular_vertices
+
+    sing = singular_vertices(g)
+    out = [FinitePath(v, ()) for v in sorted(sing)]
+    frontier = [((), v) for v in sorted(g.vertices)]
+    for _ in range(max_len):
+        nxt = []
+        for edges, at in frontier:
+            for e in g.edges_from(at):
+                nxt.append((edges + (e,), e.dst))
+        frontier = nxt
+        for edges, at in frontier:
+            if at in sing:
+                out.append(FinitePath(edges[0].src, edges))
+    return tuple(sorted(out, key=FinitePath.sort_key))
+
+
+def is_tight_finite_type_by_elements(fam, word, flt):
+    """``labelled_spaces.spectra.is_tight_finite_type`` as it was before it
+    tested atoms: an ultrafilter whose generator holds a nonempty element of
+    the algebra made of sinks, found by scanning every element."""
+    from labelled_spaces.graph import sinks
+
+    if not flt.is_ultrafilter:
+        return False
+    pocket = flt.gen & sinks(fam.graph)
+    return any(b and b <= pocket for b in fam.algebra(word).elements)

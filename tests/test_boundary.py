@@ -15,7 +15,11 @@ from labelled_spaces import (
 )
 from labelled_spaces import boundary
 from labelled_spaces.boundary import FinitePath, InfinitePath
-from oracles import finite_boundary_brute, isolated_points_by_dedup
+from oracles import (
+    finite_boundary_brute,
+    finite_boundary_paths_unpruned,
+    isolated_points_by_dedup,
+)
 
 
 def by_str(points):
@@ -40,6 +44,49 @@ class TestFiniteBoundary:
         for max_len in range(5):
             rep = boundary_paths(g, max_len, 1)
             assert len(rep.finite) == 2 * (max_len + 1)
+
+
+class TestFiniteBoundaryTowardSinks:
+    """``_finite_boundary_paths`` grows a walk only while its end can still
+    reach a sink; the listing that grew every walk
+    (``oracles.finite_boundary_paths_unpruned``) must give the same paths, in
+    the same order."""
+
+    @staticmethod
+    def graph(rng):
+        """A ``sparse_graph``, half the time with a loop on every sink."""
+        g = sparse_graph(rng)
+        if rng.random() < 0.5:
+            return g
+        loops = [Edge("s%s" % v, v, "a", v) for v in g.vertices if not g.edges_from(v)]
+        return LabelledGraph(g.vertices, g.edges + tuple(loops))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 6))
+    def test_same_paths(self, rng, max_len):
+        g = self.graph(rng)
+        assert boundary._finite_boundary_paths(g, max_len) == finite_boundary_paths_unpruned(
+            g, max_len)
+
+    def test_draws_with_and_without_sinks(self):
+        graphs = [self.graph(random.Random(seed)) for seed in range(200)]
+        with_sinks = [g for g in graphs if any(not g.edges_from(v) for v in g.vertices)]
+        assert 30 <= len(with_sinks) <= 170
+        for g in graphs:
+            assert boundary._finite_boundary_paths(g, 4) == finite_boundary_paths_unpruned(g, 4)
+
+    def test_no_walk_without_sinks(self, monkeypatch, twins3):
+        g, _ = twins3
+        calls = []
+        edges_from = LabelledGraph.edges_from
+
+        def counted(self, vertex):
+            calls.append(vertex)
+            return edges_from(self, vertex)
+
+        monkeypatch.setattr(LabelledGraph, "edges_from", counted)
+        assert boundary._finite_boundary_paths(g, 20) == ()
+        assert calls == []
 
 
 class TestInfiniteBoundary:

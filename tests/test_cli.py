@@ -1,9 +1,15 @@
+import argparse
+import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelled_spaces import cli, family
 from labelled_spaces.cli import run_command
@@ -208,18 +214,125 @@ class TestParser:
         assert run(["tight", "single_loop.lgr", "--max-word", "2"]) == (0, "patched 2 3\n", "")
 
     def test_help_is_zero(self, capsys):
-        assert run(["--help"])[0] == 0
-        assert capsys.readouterr().out.startswith("usage: lspace")
+        # the help text goes to the caller's ``out``, not the process's stdout
+        for argv in (["--help"], ["tight", "--help"]):
+            code, out, err = run(argv)
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: lspace " + " ".join(argv[:-1])), out
+            assert capsys.readouterr() == ("", "")
 
-    def test_usage_error_through_process_streams(self):
+    def test_known_command_builds_its_parser_alone(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        argv = GOLDEN_COMMANDS["tight_loops4.txt"]
+        assert run(argv)[0] == 0
+        # the top-level parser and the ``tight`` subparser; all twelve before
+        assert built == ["lspace", "lspace tight"]
+
+    @staticmethod
+    def lspace(*argv):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "labelled_spaces.cli", "tight", "loops4.lgr",
-             "--max-word", "x"],
+        return subprocess.run(
+            [sys.executable, "-m", "labelled_spaces.cli", *argv],
             capture_output=True, text=True, env=env, timeout=60,
         )
+
+    def test_usage_error_through_process_streams(self):
+        proc = self.lspace("tight", "loops4.lgr", "--max-word", "x")
         assert (proc.returncode, proc.stdout) == (2, "")
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["tight", "--help"]], ids=["top", "tight"])
+    def test_help_through_process_streams(self, argv):
+        proc = self.lspace(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: lspace"), proc.stdout
+
+
+# argv tokens: every subcommand and an unknown one, help and "--", every
+# option and some abbreviations (one ambiguous), good and bad values, and
+# fixtures that load quickly at the default bounds and a missing file
+NAMES = list(cli._COMMANDS) + ["frobnicate"]
+FILES = ["loops4.lgr", "loops4_powerset.lgr", "twins2.lgr", "single_loop.lgr", "chain7.lgr",
+         "missing.lgr"]
+TOKENS = NAMES + FILES + [
+    "-h", "--help", "--",
+    "--require", "--word", "--max-word", "--max-cycle", "--max-len", "--filter", "--depth",
+    "--max-prefix", "--max-w", "--max-c", "--max", "--req", "--dep",
+    "x", "-1", "0", "1", "2", "a", "a.a", "(a,{1 3},a)", "(@,{1},@)", "a ; gen={3}",
+    "accommodating,wlr", "complements",
+]
+
+
+def run_streams(argv):
+    """``run`` with the process's stdout and stderr captured as well."""
+    proc_out, proc_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(proc_out), contextlib.redirect_stderr(proc_err):
+        answer = run(argv)
+    return answer + (proc_out.getvalue(), proc_err.getvalue())
+
+
+def assert_same_as_full_parser(argv):
+    """A call answers as it would with every subparser built, and it builds
+    only the named one when the first token names a subcommand."""
+    build = cli.build_parser
+    asked = []
+
+    def recording(names=tuple(cli._COMMANDS)):
+        asked.append(tuple(names))
+        return build(names)
+
+    with mock.patch.object(cli, "build_parser", recording):
+        answer = run_streams(argv)
+    with mock.patch.object(cli, "build_parser", lambda names=None: build()):
+        assert answer == run_streams(argv), argv
+    if argv and argv[0] in cli._COMMANDS:
+        assert asked == [(argv[0],)], argv
+    else:
+        assert asked == [tuple(cli._COMMANDS)] and answer[0] in (0, 2), argv
+    return answer
+
+
+def draw_argv(rng):
+    """Mostly a subcommand and a graph file, then a few random tokens."""
+    head = [rng.choice(NAMES) if rng.random() < 0.8 else rng.choice(TOKENS)]
+    if rng.random() < 0.7:
+        head.append(rng.choice(FILES))
+    return head + [rng.choice(TOKENS) for _ in range(rng.choice((0, 0, 1, 2, 4)))]
+
+
+class TestOneSubparser:
+    """Parsing with the named subparser alone must answer exactly as the full
+    parser does: exit code, output, error text and the process's streams."""
+
+    def test_seeded_argvs(self):
+        rng = random.Random(0)
+        codes = {}
+        for _ in range(400):
+            code = assert_same_as_full_parser(draw_argv(rng))[0]
+            codes[code] = codes.get(code, 0) + 1
+        # answers and usage errors are both drawn
+        assert codes.get(0, 0) >= 20 and codes.get(2, 0) >= 20, codes
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=7))
+    def test_any_argv(self, argv):
+        assert_same_as_full_parser(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--"], ["-h"], ["--help"], ["frobnicate"], ["tigh", "loops4.lgr"],
+         ["--", "tight", "loops4.lgr"], ["tight"], ["tight", "--max", "1"],
+         ["ufgraph", "chain7.lgr"], ["validate", "chain7.lgr", "--require", "complements"]],
+    )
+    def test_edge_argvs(self, argv):
+        assert_same_as_full_parser(argv)

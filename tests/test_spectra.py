@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelled_spaces import (
     CoverError,
@@ -7,6 +11,7 @@ from labelled_spaces import (
     FiniteFilterFamily,
     LabelledGraph,
     LassoFilterFamily,
+    PrincipalFilter,
     boundary_paths,
     boundary_to_filter,
     compare_spectrum_with_boundary,
@@ -22,7 +27,10 @@ from labelled_spaces import (
     ultrafilters,
     union_cover,
 )
+from labelled_spaces import fixtures
 from labelled_spaces.graph import labelled_words_up_to
+from oracles import is_tight_finite_type_by_elements
+from test_family import random_family
 
 
 def fset(*items):
@@ -62,6 +70,44 @@ class TestTightFiniteType:
 
         flt = PrincipalFilter(fam.algebra(("a",)), fset("1", "2", "4"))
         assert not is_tight_finite_type(fam, ("a",), flt)
+
+
+class TestTightFiniteTypeAgainstElements:
+    """``is_tight_finite_type`` looks for an atom inside the generator's
+    sinks; the element scan it replaced
+    (``oracles.is_tight_finite_type_by_elements``) must give the same verdict
+    for every principal filter, on rings and on lattices that are not rings."""
+
+    @staticmethod
+    def verdicts(fam):
+        out = []
+        for word in labelled_words_up_to(fam.graph, 2):
+            alg = fam.algebra(word)
+            for flt in (PrincipalFilter(alg, gen) for gen in alg.elements if gen):
+                verdict = is_tight_finite_type(fam, word, flt)
+                assert verdict == is_tight_finite_type_by_elements(fam, word, flt), (word, flt)
+                out.append(verdict)
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_same_verdicts(self, rng):
+        self.verdicts(random_family(rng)[1])
+
+    def test_draws_give_both_verdicts(self):
+        seen = set()
+        for seed in range(100):
+            seen.update(self.verdicts(random_family(random.Random(seed))[1]))
+        assert seen == {False, True}
+
+    def test_fixtures(self, loops4, loops4_pow, twins3):
+        chains = [fixtures.chain7(n) for n in (6, 7, 10)]
+        for _, fam in [loops4, loops4_pow, twins3] + chains:
+            self.verdicts(fam)
+
+    def test_chain7_has_tight_towers(self):
+        # a non-ring family whose algebras hold members made of sinks
+        assert any(self.verdicts(fixtures.chain7(7)[1]))
 
 
 class TestTightSpectrum:
