@@ -10,20 +10,18 @@ carries two distinct cycles, in which case the lassos are a strict subset of
 all infinite paths.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .graph import singular_vertices
-from .transition import _canonical_lassos, has_branching_cycles
+from .transition import _canonical_lassos, has_branching_cycles, strongly_connected_components
 from .util import canonical_lasso
 
 
-@dataclass(frozen=True)
-class FinitePath:
+class FinitePath(namedtuple("FinitePath", "base edges")):
     """A finite boundary path: an edge sequence, or a bare vertex when empty."""
 
-    base: str
-    edges: tuple
+    __slots__ = ()
 
     @property
     def terminal(self):
@@ -48,12 +46,10 @@ class FinitePath:
         return " ".join(bits)
 
 
-@dataclass(frozen=True)
-class InfinitePath:
+class InfinitePath(namedtuple("InfinitePath", "prefix cycle")):
     """An eventually periodic infinite path in canonical lasso form."""
 
-    prefix: tuple
-    cycle: tuple
+    __slots__ = ()
 
     def labels(self):
         return (
@@ -109,11 +105,8 @@ def make_infinite_path(g, prefix, cycle):
     return InfinitePath(prefix, cycle)
 
 
-@dataclass
-class BoundaryReport:
-    finite: tuple
-    infinite: tuple
-    has_branching_cycles: bool
+class BoundaryReport(namedtuple("BoundaryReport", "finite infinite has_branching_cycles")):
+    __slots__ = ()
 
     def all_points(self):
         return self.finite + self.infinite
@@ -182,31 +175,16 @@ def boundary_paths(g, max_len, max_cycle):
 
 def _deterministic_cycles(g):
     """Cycles every vertex of which has out-degree exactly one; such a cycle
-    is forced, so any path entering it is isolated in the boundary."""
+    is forced, so any path entering it is isolated in the boundary.  They are
+    the strongly connected components in which every vertex has one edge and
+    that edge stays inside, each walked from its least vertex."""
     out = []
-    deg = {v: g.out_degree(v) for v in g.vertices}
-    seen = set()
-    for v in sorted(g.vertices):
-        if v in seen or deg[v] != 1:
-            continue
-        trail = []
-        at = v
-        ok = True
-        while True:
-            if deg[at] != 1:
-                ok = False
-                break
-            e = g.edges_from(at)[0]
-            trail.append(e)
-            at = e.dst
-            if at == v:
-                break
-            if any(t.src == at for t in trail):
-                ok = False
-                break
-        if ok:
-            for e in trail:
-                seen.add(e.src)
+    comps = strongly_connected_components(g.vertices, [(e.src, e.label, e.dst) for e in g.edges])
+    for comp in sorted(comps, key=min):
+        if all(g.out_degree(v) == 1 and g.edges_from(v)[0].dst in comp for v in comp):
+            trail = [g.edges_from(min(comp))[0]]
+            while trail[-1].dst != trail[0].src:
+                trail.append(g.edges_from(trail[-1].dst)[0])
             out.append(tuple(trail))
     return out
 

@@ -89,13 +89,13 @@ def cmd_mul(args, out):
     _, fam = _load(args.graph)
     s = parse_element(fam, args.left)
     t = parse_element(fam, args.right)
-    out.write("%s\n" % multiply(fam, s, t))
+    out.write("%s\n" % (multiply(fam, s, t),))
     return 0
 
 
 def cmd_inv(args, out):
     _, fam = _load(args.graph)
-    out.write("%s\n" % inverse(parse_element(fam, args.element)))
+    out.write("%s\n" % (inverse(parse_element(fam, args.element)),))
     return 0
 
 
@@ -144,10 +144,10 @@ def cmd_boundary(args, out):
     rep = boundary_paths(g, args.max_len, args.max_cycle)
     out.write("finite paths (%d):\n" % len(rep.finite))
     for p in rep.finite:
-        out.write("  %s\n" % p)
+        out.write("  %s\n" % (p,))
     out.write("infinite paths (%d):\n" % len(rep.infinite))
     for p in rep.infinite:
-        out.write("  %s\n" % p)
+        out.write("  %s\n" % (p,))
     out.write(
         "lassos exhaust infinite paths: %s\n"
         % ("no (branching cycles)" if rep.has_branching_cycles else "yes")
@@ -175,7 +175,7 @@ def cmd_refute(args, out):
         out.write("no counterexample at depth %d\n" % args.depth)
     else:
         x, cert = found
-        out.write("not tight: %s\n" % x)
+        out.write("not tight: %s\n" % (x,))
         out.write("cover parts: %s\n" % " ".join(format_vset(p) for p in cert.parts))
     return 0
 
@@ -185,7 +185,7 @@ def cmd_isolated(args, out):
     points = isolated_points(g, args.max_prefix)
     out.write("isolated points (%d):\n" % len(points))
     for p in points:
-        out.write("  %s\n" % p)
+        out.write("  %s\n" % (p,))
     return 0
 
 

@@ -40,21 +40,33 @@ its meets are its blocks, so it is accommodating and complement closed, and
 only (c) is checked.
 """
 
-from dataclasses import InitVar, dataclass, field
-
 from .errors import DomainError, InputError, UnsupportedFamilyError
 from .graph import range_of, relative_range
-from .util import format_vset, sort_sets, vkey
+from .util import Immutable, format_vset, sort_sets, vkey
 
 
-@dataclass
-class ValidationReport:
-    accommodating: bool
-    weakly_left_resolving: bool
-    complement_closed: bool
-    witnesses: dict
-    # the minimal meets, in order: the atoms of (e)
-    atoms: tuple = field(default=(), compare=False, repr=False)
+class ValidationReport(Immutable):
+    """The three flags with their witnesses, and the minimal meets in order
+    (the atoms of (e)), which equality ignores."""
+
+    __slots__ = ("accommodating", "weakly_left_resolving", "complement_closed", "witnesses",
+                 "atoms")
+    _fields = __slots__[:4]
+    __hash__ = None
+
+    def __init__(self, accommodating, weakly_left_resolving, complement_closed, witnesses,
+                 atoms=()):
+        self._set(
+            accommodating=accommodating,
+            weakly_left_resolving=weakly_left_resolving,
+            complement_closed=complement_closed,
+            witnesses=witnesses,
+            atoms=atoms,
+        )
+
+    def _key(self):
+        return (self.accommodating, self.weakly_left_resolving, self.complement_closed,
+                self.witnesses)
 
     def flags_line(self):
         return "accommodating=%s wlr=%s complements=%s" % (
@@ -190,8 +202,7 @@ def _complement_witness(members, lookup):
     return None
 
 
-@dataclass(frozen=True)
-class AccommodatingFamily:
+class AccommodatingFamily(Immutable):
     """An accommodating family over a labelled graph, as an explicit set list.
 
     Construction validates the family once and keeps the ``ValidationReport``
@@ -202,32 +213,25 @@ class AccommodatingFamily:
     is validated again.
     """
 
-    graph: object
-    sets: tuple
-    report: ValidationReport = field(init=False, compare=False, repr=False)
-    _lookup: frozenset = field(init=False, compare=False, repr=False)
-    _algebras: dict = field(init=False, compare=False, repr=False)
-    _report: InitVar[ValidationReport] = field(default=None, kw_only=True)
+    __slots__ = ("graph", "sets", "report", "_lookup", "_algebras")
+    _fields = __slots__[:2]
 
-    def __post_init__(self, _report):
+    def __init__(self, graph, sets, *, _report=None):
         if _report is None:
-            members = sort_sets(frozenset(s) for s in self.sets)
-            for s in members:
-                self.graph.check_vertices(s)
-            report = _validate_members(self.graph, members)
-        else:
-            members, report = self.sets, _report
-        if not report.accommodating:
+            sets = sort_sets(frozenset(s) for s in sets)
+            for s in sets:
+                graph.check_vertices(s)
+            _report = _validate_members(graph, sets)
+        if not _report.accommodating:
             raise InputError(
-                "family is not accommodating: %s" % report.witness_text("accommodating")
+                "family is not accommodating: %s" % _report.witness_text("accommodating")
             )
-        object.__setattr__(self, "sets", members)
-        object.__setattr__(self, "report", report)
-        object.__setattr__(self, "_lookup", frozenset(members))
-        object.__setattr__(self, "_algebras", {})
+        self._set(
+            graph=graph, sets=sets, report=_report, _lookup=frozenset(sets), _algebras={}
+        )
 
-    def __hash__(self):
-        return hash((self.graph, self.sets))
+    def _key(self):
+        return (self.graph, self.sets)
 
     def __contains__(self, vset):
         return frozenset(vset) in self._lookup
@@ -338,8 +342,7 @@ def _unions(g, blocks):
     return AccommodatingFamily(g, members, _report=report)
 
 
-@dataclass(frozen=True)
-class RestrictedAlgebra:
+class RestrictedAlgebra(Immutable):
     """The members of a family lying inside a fixed restriction set (the
     range of some word; the whole vertex set for the empty word).
 
@@ -350,15 +353,14 @@ class RestrictedAlgebra:
     its minimum while the ultrafilters are exactly the up-sets of atoms.
     """
 
-    family: object
-    restriction: frozenset
-    top: object
-    elements: tuple
-    atoms: tuple
-    _lookup: frozenset = field(init=False, compare=False, repr=False)
+    __slots__ = ("family", "restriction", "top", "elements", "atoms", "_lookup")
+    _fields = __slots__[:5]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", frozenset(self.elements))
+    def __init__(self, family, restriction, top, elements, atoms):
+        self._set(
+            family=family, restriction=restriction, top=top, elements=elements, atoms=atoms,
+            _lookup=frozenset(elements),
+        )
 
     @classmethod
     def build(cls, family, restriction):
@@ -370,12 +372,5 @@ class RestrictedAlgebra:
     def __contains__(self, vset):
         return frozenset(vset) in self._lookup
 
-    def __hash__(self):
-        return hash((self.family, self.restriction))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RestrictedAlgebra)
-            and self.family == other.family
-            and self.restriction == other.restriction
-        )
+    def _key(self):
+        return (self.family, self.restriction)

@@ -19,11 +19,12 @@ None at the end of a finite word) and ``_with_gens(gens)`` (the tower on the
 same word with new generators).
 """
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import DomainError, ParseError
+from .graph import sinks
 from .util import (
+    Immutable,
     canonical_lasso,
     format_vset,
     format_word,
@@ -34,18 +35,20 @@ from .util import (
 )
 
 
-@dataclass(frozen=True)
-class PrincipalFilter:
+class PrincipalFilter(Immutable):
     """The up-set of a nonzero generator inside a restricted algebra."""
 
-    algebra: object
-    gen: frozenset
+    __slots__ = _fields = ("algebra", "gen")
 
-    def __post_init__(self):
-        if not self.gen:
+    def __init__(self, algebra, gen):
+        if not gen:
             raise DomainError("a filter cannot contain the empty set")
-        if self.gen not in self.algebra:
-            raise DomainError("generator %s is not in the algebra" % format_vset(self.gen))
+        if gen not in algebra:
+            raise DomainError("generator %s is not in the algebra" % format_vset(gen))
+        self._set(algebra=algebra, gen=gen)
+
+    def _key(self):
+        return (self.algebra, self.gen)
 
     def members(self):
         return tuple(a for a in self.algebra.elements if self.gen <= a)
@@ -546,16 +549,22 @@ def is_es_ultrafilter(fam, family):
     """Ultrafilter test for a filter in E(S).
 
     Finite type: the deepest filter must be an ultrafilter whose generator
-    kills every letter.  Infinite type: every level must be an ultrafilter,
-    which needs the family to be closed under relative complements.
+    emits no edge, i.e. lies inside the sinks.  Infinite type: every level
+    must be an ultrafilter, which needs the family to be closed under
+    relative complements.
     """
     if family.is_lasso:
         fam.require_complements()
         return family.is_ultrafilter_shaped()
     top = family.filter_at(len(family.word))
-    if top is None or not top.is_ultrafilter:
-        return False
-    return all(not fam.rel_range(top.gen, (b,)) for b in fam.graph.alphabet)
+    return top is not None and _is_sink_ultrafilter(fam, top)
+
+
+def _is_sink_ultrafilter(fam, flt):
+    """Whether ``flt`` is an ultrafilter whose generator lies inside the
+    sinks: the one test behind ``is_es_ultrafilter`` on finite words,
+    ``sink_ultrafilters`` and ``is_tight_finite_type``."""
+    return flt.is_ultrafilter and flt.gen <= sinks(fam.graph)
 
 
 def parse_filter_family(fam, text):

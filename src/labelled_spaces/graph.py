@@ -6,46 +6,36 @@ letter with no edge cannot occur.  All values are immutable (a graph keeps
 the relative ranges it has computed); every function here is pure.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InputError
+from .util import Immutable
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(namedtuple("Edge", "eid src label dst")):
     """A directed edge; ``dst`` is the edge's range vertex, ``src`` its source."""
 
-    eid: str
-    src: str
-    label: str
-    dst: str
+    __slots__ = ()
 
     def __str__(self):
         return "%s: %s -%s-> %s" % (self.eid, self.src, self.label, self.dst)
 
 
-@dataclass(frozen=True)
-class LabelledGraph:
-    vertices: tuple
-    edges: tuple
-    alphabet: tuple = field(init=False, compare=False)
-    vertex_set: frozenset = field(init=False, compare=False, repr=False)
-    _by_label: dict = field(init=False, compare=False, repr=False)
-    _into: dict = field(init=False, compare=False, repr=False)
-    _out: dict = field(init=False, compare=False, repr=False)
-    _ranges: dict = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+class LabelledGraph(Immutable):
+    __slots__ = ("vertices", "edges", "alphabet", "vertex_set", "_by_label", "_into", "_out",
+                 "_ranges", "_hash")
+    _fields = ("vertices", "edges", "alphabet")
 
-    def __post_init__(self):
-        vertices = tuple(sorted(set(self.vertices)))
-        edges = tuple(self.edges)
+    def __init__(self, vertices, edges):
+        vertices = tuple(sorted(set(vertices)))
+        edges = tuple(edges)
         seen = set()
         for e in edges:
             if e.eid in seen:
                 raise InputError("duplicate edge id %r" % e.eid)
             seen.add(e.eid)
             if e.src not in vertices or e.dst not in vertices:
-                raise InputError("edge %s uses an unknown vertex" % e)
+                raise InputError("edge %s uses an unknown vertex" % (e,))
         by_label = {}
         into = {v: [] for v in vertices}
         out = {v: [] for v in vertices}
@@ -54,20 +44,21 @@ class LabelledGraph:
             by_label[e.label][e.src].add(e.dst)
             into[e.dst].append(e)
             out[e.src].append(e)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "alphabet", tuple(sorted(by_label)))
-        object.__setattr__(self, "vertex_set", frozenset(vertices))
-        object.__setattr__(
-            self,
-            "_by_label",
-            {b: {v: frozenset(t) for v, t in m.items()} for b, m in by_label.items()},
+        self._set(
+            vertices=vertices,
+            edges=edges,
+            alphabet=tuple(sorted(by_label)),
+            vertex_set=frozenset(vertices),
+            _by_label={b: {v: frozenset(t) for v, t in m.items()} for b, m in by_label.items()},
+            _into={v: tuple(es) for v, es in into.items()},
+            _out={v: tuple(es) for v, es in out.items()},
+            _ranges={},
+            # families and algebras hash their graph: hash the edges once
+            _hash=hash((vertices, edges)),
         )
-        object.__setattr__(self, "_into", {v: tuple(es) for v, es in into.items()})
-        object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
-        object.__setattr__(self, "_ranges", {})
-        # families and algebras hash their graph: hash the edges once
-        object.__setattr__(self, "_hash", hash((vertices, edges)))
+
+    def _key(self):
+        return (self.vertices, self.edges)
 
     def __hash__(self):
         return self._hash

@@ -6,21 +6,18 @@ require the family to be weakly left resolving, otherwise associativity is
 not guaranteed and the operation refuses to run.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, ParseError
 from .graph import is_labelled_path
 from .util import format_vset, format_word, parse_vset, parse_word
 
 
-@dataclass(frozen=True)
-class SElement:
+class SElement(namedtuple("SElement", "alpha vset beta")):
     """A semigroup element.  The zero element is the canonical ``ZERO``;
     any produced triple with empty middle set is normalized to it."""
 
-    alpha: tuple
-    vset: frozenset
-    beta: tuple
+    __slots__ = ()
 
     @property
     def is_zero(self):
@@ -102,7 +99,7 @@ def is_idempotent(s):
 
 def _require_idempotent(s):
     if not is_idempotent(s):
-        raise DomainError("%s is not an idempotent" % s)
+        raise DomainError("%s is not an idempotent" % (s,))
 
 
 def leq(fam, p, q):

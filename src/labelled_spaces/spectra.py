@@ -2,63 +2,56 @@
 
 Tight filters come in two kinds: the infinite-type ultrafilters (listed as
 lassos through the ultrafilter transition graph) and the finite-type towers
-whose deepest filter is an ultrafilter that either emits infinitely many
-labels (impossible on a finite graph, but kept as an explicit branch) or
-contains a member inside the sinks.
+whose deepest filter is an ultrafilter with its generator inside the sinks
+(a finite graph has no infinite emitters).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .boundary import BoundaryReport, FinitePath, InfinitePath, boundary_paths
+from .boundary import FinitePath, InfinitePath, boundary_paths
 from .errors import CoverError, DomainError
 from .family import powerset_family
-from .filters import FiniteFilterFamily, LassoFilterFamily, ultrafilters
-from .graph import is_left_resolving, labelled_words_up_to, sinks
-from .semigroup import SElement, make_element
+from .filters import (
+    FiniteFilterFamily,
+    LassoFilterFamily,
+    _is_sink_ultrafilter,
+    is_es_ultrafilter,
+    ultrafilters,
+)
+from .graph import is_left_resolving, labelled_words_up_to
+from .semigroup import make_element
 from .transition import UltrafilterTransitionGraph
 from .util import format_vset, vkey
 
 
 def sink_ultrafilters(fam, word):
     """Ultrafilters of the algebra over ``word`` whose generator emits no
-    edge at all; by principality this is a single test on the generator."""
-    out = []
-    for flt in ultrafilters(fam.algebra(word)):
-        if all(not fam.rel_range(flt.gen, (b,)) for b in fam.graph.alphabet):
-            out.append(flt)
-    return tuple(out)
+    edge at all, i.e. lies inside the sinks."""
+    return tuple(f for f in ultrafilters(fam.algebra(word)) if _is_sink_ultrafilter(fam, f))
 
 
 def is_tight_finite_type(fam, word, flt):
-    """Tightness of the finite-type tower with the given deepest filter.
+    """Tightness of the finite-type tower along ``word`` with the given
+    deepest filter.
 
-    False unless the filter is an ultrafilter; otherwise its generator must
-    contain a nonempty family member made of sinks (a finite graph has no
-    infinite emitters).  Monotonicity in the member reduces the check to the
-    generator, and to the atoms: every nonempty member contains one.
+    The filter must be an ultrafilter whose generator contains a nonempty
+    family member made of sinks (a finite graph has no infinite emitters).
+    Every such member contains an atom, and distinct atoms are disjoint, so
+    that atom is the generator itself: it lies inside the sinks.
     """
-    if not flt.is_ultrafilter:
-        return False
-    pocket = flt.gen & sinks(fam.graph)
-    return any(a <= pocket for a in fam.algebra(word).atoms)
+    return _is_sink_ultrafilter(fam, flt)
 
 
 def is_tight(fam, family):
-    """Tightness of a filter in E(S) given as a complete tower."""
+    """Tightness of a filter in E(S) given as a complete tower: on a finite
+    graph it is tight exactly when it is an ultrafilter."""
     if not family.is_complete():
         raise DomainError("tightness is about filters in E(S), i.e. complete towers")
-    if family.is_lasso:
-        fam.require_complements()
-        return family.is_ultrafilter_shaped()
-    flt = family.filter_at(len(family.word))
-    return flt is not None and is_tight_finite_type(fam, family.word, flt)
+    return is_es_ultrafilter(fam, family)
 
 
-@dataclass
-class TightSpectrum:
-    finite: tuple
-    infinite: tuple
-    has_branching_cycles: bool
+class TightSpectrum(namedtuple("TightSpectrum", "finite infinite has_branching_cycles")):
+    __slots__ = ()
 
     def all_points(self):
         return self.finite + self.infinite
@@ -119,14 +112,9 @@ def boundary_to_filter(fam, path):
     raise DomainError("expected a boundary path, got %r" % (path,))
 
 
-@dataclass
-class PhiReport:
-    bijective: bool
-    boundary: BoundaryReport
-    spectrum: TightSpectrum
-    unmatched_boundary: tuple
-    unmatched_spectrum: tuple
-    not_injective: tuple
+class PhiReport(namedtuple("PhiReport", "bijective boundary spectrum unmatched_boundary "
+                                        "unmatched_spectrum not_injective")):
+    __slots__ = ()
 
     def counts_line(self):
         return "boundary: %d finite + %d infinite | spectrum: %d finite + %d infinite" % (
@@ -171,15 +159,13 @@ def compare_spectrum_with_boundary(g, max_len, max_cycle):
     )
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(namedtuple("CoverCertificate", "element parts")):
     """A finite cover of an idempotent by idempotents with the same word.
 
     The parts lie below the middle set and union to it exactly; the union
     law for relative ranges then makes them a cover of everything below."""
 
-    element: SElement
-    parts: tuple
+    __slots__ = ()
 
     def __str__(self):
         return "cover of %s by %s" % (

@@ -12,17 +12,15 @@ Requires the family to be closed under relative complements; for other
 families the maximal-family search over finite words is the supported route.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .filters import LassoFilterFamily
 from .graph import range_of
 from .util import format_vset, vkey
 
 
-@dataclass(frozen=True)
-class UTGNode:
-    range_set: frozenset
-    atom: frozenset
+class UTGNode(namedtuple("UTGNode", "range_set atom")):
+    __slots__ = ()
 
     def sort_key(self):
         return (vkey(self.range_set), vkey(self.atom))
@@ -118,7 +116,7 @@ class UltrafilterTransitionGraph:
     def format_listing(self):
         lines = ["nodes:"]
         for n in self.nodes:
-            lines.append("  %s" % n)
+            lines.append("  %s" % (n,))
         lines.append("edges (level orientation: source at level n, target at level n+1):")
         for src, b, dst in self.edges:
             lines.append("  %s -%s-> %s" % (src, b, dst))

@@ -1,8 +1,46 @@
-"""Small shared helpers: canonical ordering, word and set formatting, lassos."""
+"""Small shared helpers: canonical ordering, word and set formatting, lassos,
+and the base of the immutable values that are not tuples."""
 
 from .errors import ParseError
 
 EMPTY_WORD_TOKEN = "@"
+
+
+class Immutable:
+    """A value whose attributes are the ``__slots__`` of its class, each set
+    once by ``__init__`` through ``_set``; assigning or deleting one raises
+    ``AttributeError``.  It is compared and hashed by ``_key()`` and shown by
+    its ``_fields``.  Slots, unlike a ``__dict__`` filled behind the refusal,
+    keep attribute reads and method calls on the interpreter's fast path."""
+
+    __slots__ = ("__weakref__",)
+    _fields = ()
+
+    def _set(self, **values):
+        cls = type(self)
+        for name, value in values.items():
+            getattr(cls, name).__set__(self, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot change %r: %s is immutable" % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        # copy and pickle hand the slots over as (None, {name: value})
+        self._set(**state[1])
+
+    def __eq__(self, other):
+        return other is self or (type(other) is type(self) and self._key() == other._key())
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
 
 
 def vkey(members):

@@ -503,22 +503,55 @@ def preimage_arcs(fam):
     return tuple(sorted(edges, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key())))
 
 
+def deterministic_cycles_by_trail(g):
+    """``labelled_spaces.boundary._deterministic_cycles`` as it was before it
+    read the cycles off the strongly connected components: from each vertex
+    of out-degree one, in order, it follows the forced edges until the trail
+    closes at its start or fails."""
+    out = []
+    deg = {v: g.out_degree(v) for v in g.vertices}
+    seen = set()
+    for v in sorted(g.vertices):
+        if v in seen or deg[v] != 1:
+            continue
+        trail = []
+        at = v
+        ok = True
+        while True:
+            if deg[at] != 1:
+                ok = False
+                break
+            e = g.edges_from(at)[0]
+            trail.append(e)
+            at = e.dst
+            if at == v:
+                break
+            if any(t.src == at for t in trail):
+                ok = False
+                break
+        if ok:
+            for e in trail:
+                seen.add(e.src)
+            out.append(tuple(trail))
+    return out
+
+
 def isolated_points_by_dedup(g, max_prefix):
     """``labelled_spaces.boundary.isolated_points`` as it was before it kept
     only canonical (chain, rotation) pairs: it builds a path for every pair
-    and drops repeats and over-long prefixes afterwards."""
+    and drops repeats and over-long prefixes afterwards.  Its cycles come
+    from ``deterministic_cycles_by_trail``."""
     from labelled_spaces.boundary import (
         FinitePath,
         InfinitePath,
         _backward_chains,
-        _deterministic_cycles,
         _finite_boundary_paths,
         make_infinite_path,
     )
 
     finite = _finite_boundary_paths(g, max_prefix)
     infinite = {}
-    for cycle in _deterministic_cycles(g):
+    for cycle in deterministic_cycles_by_trail(g):
         for phase in range(len(cycle)):
             rotated = cycle[phase:] + cycle[:phase]
             for chain in _backward_chains(g, rotated[0].src, max_prefix):

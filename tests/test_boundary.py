@@ -16,6 +16,7 @@ from labelled_spaces import (
 from labelled_spaces import boundary
 from labelled_spaces.boundary import FinitePath, InfinitePath
 from oracles import (
+    deterministic_cycles_by_trail,
     finite_boundary_brute,
     finite_boundary_paths_unpruned,
     isolated_points_by_dedup,
@@ -190,14 +191,27 @@ def sparse_graph(rng):
 
 
 class TestIsolatedPointsAgainstDedup:
-    """``isolated_points`` builds only canonical (chain, rotation) pairs; the
-    build-then-deduplicate listing it replaced must give the same points."""
+    """``isolated_points`` builds only canonical (chain, rotation) pairs from
+    cycles read off the strongly connected components; the
+    build-then-deduplicate listing over trail-walked cycles it replaced must
+    give the same points."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(0, 3))
     def test_same_points(self, rng, bound):
         g = sparse_graph(rng)
         assert isolated_points(g, bound) == isolated_points_by_dedup(g, bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_same_cycles(self, rng):
+        g = sparse_graph(rng)
+        assert boundary._deterministic_cycles(g) == deterministic_cycles_by_trail(g)
+
+    def test_draws_have_cycles_of_several_lengths(self):
+        lengths = {len(c) for s in range(200)
+                   for c in deterministic_cycles_by_trail(sparse_graph(random.Random(s)))}
+        assert {1, 2, 3} <= lengths
 
     def test_each_path_is_built_once(self, monkeypatch, twins3, single_loop):
         cases = [twins3[0], single_loop[0]] + [sparse_graph(random.Random(s)) for s in range(50)]

@@ -336,3 +336,17 @@ class TestOneSubparser:
     )
     def test_edge_argvs(self, argv):
         assert_same_as_full_parser(argv)
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """A real ``lspace`` process pays for each module it imports.  The
+    library's values are named tuples and plain classes, so importing the CLI
+    on a bare interpreter (``-S``: no site hooks) loads none of these."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, labelled_spaces.cli; print(' '.join("
+            "m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "", "")

@@ -73,8 +73,9 @@ class TestTightFiniteType:
 
 
 class TestTightFiniteTypeAgainstElements:
-    """``is_tight_finite_type`` looks for an atom inside the generator's
-    sinks; the element scan it replaced
+    """``is_tight_finite_type``, ``sink_ultrafilters`` and the finite branch
+    of ``is_es_ultrafilter`` all test an ultrafilter generator inside the
+    sinks; the element scan this replaced
     (``oracles.is_tight_finite_type_by_elements``) must give the same verdict
     for every principal filter, on rings and on lattices that are not rings."""
 
@@ -83,10 +84,19 @@ class TestTightFiniteTypeAgainstElements:
         out = []
         for word in labelled_words_up_to(fam.graph, 2):
             alg = fam.algebra(word)
+            sink_gens = {f.gen for f in sink_ultrafilters(fam, word)}
             for flt in (PrincipalFilter(alg, gen) for gen in alg.elements if gen):
-                verdict = is_tight_finite_type(fam, word, flt)
-                assert verdict == is_tight_finite_type_by_elements(fam, word, flt), (word, flt)
-                out.append(verdict)
+                expected = is_tight_finite_type_by_elements(fam, word, flt)
+                # a tower along ``word`` whose deepest filter is ``flt``: each
+                # level below is generated by its algebra's top, and level 0
+                # is empty when the vertex set is not a member
+                tower = FiniteFilterFamily(
+                    fam, word, [fam.algebra(word[:n]).top for n in range(len(word))] + [flt.gen]
+                )
+                assert is_tight_finite_type(fam, word, flt) == expected, (word, flt)
+                assert (flt.gen in sink_gens) == expected, (word, flt)
+                assert is_es_ultrafilter(fam, tower) == expected, (word, flt)
+                out.append(expected)
         return out
 
     @settings(max_examples=300, deadline=None)
