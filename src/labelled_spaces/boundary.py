@@ -4,17 +4,24 @@ The boundary consists of all infinite paths plus the finite paths (including
 single vertices) ending at a singular vertex.  On a finite graph the singular
 vertices are exactly the sinks.  Infinite paths are listed as canonical edge
 lassos by the same walker as the transition graph's lassos: each canonical
-lasso within the bounds is met once, so the cost follows the output.  A
-branching-cycle flag reports when some strongly connected component
-carries two distinct cycles, in which case the lassos are a strict subset of
-all infinite paths.
+lasso within the bounds is met once, so the cost follows the output.  Both
+kinds are counted exactly first, and a listing past ``LISTING_BUDGET``
+points is refused.  A branching-cycle flag reports when some strongly
+connected component carries two distinct cycles, in which case the lassos
+are a strict subset of all infinite paths.
 """
 
 from collections import namedtuple
 
 from .errors import DomainError
 from .graph import singular_vertices
-from .transition import _canonical_lassos, has_branching_cycles, strongly_connected_components
+from .transition import (
+    _canonical_lassos,
+    _count_canonical_lassos,
+    _refuse_past_budget,
+    has_branching_cycles,
+    strongly_connected_components,
+)
 from .util import canonical_lasso
 
 
@@ -146,26 +153,68 @@ def _backward_chains(g, head, max_len):
         yield from chains
 
 
+def _count_finite_boundary_paths(g, max_len):
+    """``len(_finite_boundary_paths(g, max_len))``, counted: the sum over
+    k <= max_len of in_k over the sinks, in_k(v) being the paths of k edges
+    that end at v."""
+    sing = singular_vertices(g)
+    ends = dict.fromkeys(g.vertices, 1)
+    count = len(sing)
+    for _ in range(max_len):
+        ends = {v: sum(ends[e.src] for e in g.edges_into(v)) for v in g.vertices}
+        count += sum(ends[v] for v in sing)
+    return count
+
+
+def _lasso_steps(g):
+    """The lasso walker's (starts, arcs) on the edges: an edge's successors
+    are the edges out of its target.  Only edges whose target can reach a
+    cycle lie on an infinite path, so no other edge is walked."""
+    live = _cycle_reachers(g)
+    return (
+        [(e, e.dst) for e in g.edges if e.dst in live],
+        lambda v: [(e, e.dst) for e in g.edges_from(v) if e.dst in live],
+    )
+
+
+def _cycle_reachers(g):
+    """The vertices from which a cycle can be reached: those left after
+    peeling off, again and again, every vertex whose edges all lead to
+    peeled ones (sinks first)."""
+    left = {v: g.out_degree(v) for v in g.vertices}
+    peel = [v for v, n in left.items() if not n]
+    while peel:
+        for e in g.edges_into(peel.pop()):
+            left[e.src] -= 1
+            if not left[e.src]:
+                peel.append(e.src)
+    return {v for v, n in left.items() if n}
+
+
 def _infinite_boundary_paths(g, max_len, max_cycle):
     """The canonical edge lassos within the bounds, each met once by the
     transition graph's lasso walker (an edge's successors depend on its
     target alone)."""
-    lassos = _canonical_lassos(
-        [(e, e.dst) for e in g.edges],
-        lambda v: [(e, e.dst) for e in g.edges_from(v)],
-        max_len,
-        max_cycle,
-    )
+    lassos = _canonical_lassos(*_lasso_steps(g), max_len, max_cycle)
     return tuple(sorted(
         (make_infinite_path(g, prefix, cycle) for prefix, cycle in lassos),
         key=InfinitePath.sort_key,
     ))
 
 
+def _boundary_counts(g, max_len, max_cycle):
+    """The sizes of ``boundary_paths``' finite and infinite lists, counted."""
+    return (_count_finite_boundary_paths(g, max_len),
+            _count_canonical_lassos(*_lasso_steps(g), max_len, max_cycle))
+
+
 def boundary_paths(g, max_len, max_cycle):
     """All boundary points within the bounds: finite paths of length at most
     ``max_len`` and canonical lassos with prefix at most ``max_len`` and cycle
-    at most ``max_cycle``."""
+    at most ``max_cycle``.  Past ``LISTING_BUDGET`` points it raises
+    ``InputError`` with their exact number instead."""
+    _refuse_past_budget(sum(_boundary_counts(g, max_len, max_cycle)),
+                        "the boundary up to length %d and cycle %d" % (max_len, max_cycle))
     return BoundaryReport(
         _finite_boundary_paths(g, max_len),
         _infinite_boundary_paths(g, max_len, max_cycle),

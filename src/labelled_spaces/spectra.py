@@ -3,12 +3,19 @@
 Tight filters come in two kinds: the infinite-type ultrafilters (listed as
 lassos through the ultrafilter transition graph) and the finite-type towers
 whose deepest filter is an ultrafilter with its generator inside the sinks
-(a finite graph has no infinite emitters).
+(a finite graph has no infinite emitters).  Both kinds are counted exactly
+off the transition graph before they are listed, and a listing past
+``LISTING_BUDGET`` points is refused.
+
+``compare`` decides the paper's theorem from a certificate read off the
+transition graph's arcs (``_phi_certified``) and the exact counts of both
+sides; ``compare_spectrum_with_boundary`` lists both sides and matches them
+point by point.
 """
 
 from collections import namedtuple
 
-from .boundary import FinitePath, InfinitePath, boundary_paths
+from .boundary import FinitePath, InfinitePath, _boundary_counts, boundary_paths
 from .errors import CoverError, DomainError
 from .family import powerset_family
 from .filters import (
@@ -18,9 +25,14 @@ from .filters import (
     is_es_ultrafilter,
     ultrafilters,
 )
-from .graph import is_left_resolving, labelled_words_up_to
+from .graph import is_left_resolving, labelled_words_up_to, sinks
 from .semigroup import make_element
-from .transition import UltrafilterTransitionGraph
+from .transition import (
+    UltrafilterTransitionGraph,
+    UTGNode,
+    _count_canonical_lassos,
+    _refuse_past_budget,
+)
 from .util import format_vset, vkey
 
 
@@ -64,21 +76,51 @@ def tight_spectrum(fam, max_word_len, max_cycle_len):
 
     The branching flag marks when the transition graph has a component with
     two cycles, so the lasso list undercounts the infinite-type points.
+    Past ``LISTING_BUDGET`` points it raises ``InputError`` with their exact
+    number instead.
     """
-    fam.require_complements()
-    fam.require_wlr()
+    graph = UltrafilterTransitionGraph(fam)
+    _refuse_past_budget(
+        sum(_spectrum_counts(graph, max_word_len, max_cycle_len)),
+        "the tight spectrum up to word length %d and cycle %d" % (max_word_len, max_cycle_len),
+    )
     finite = []
     for word in labelled_words_up_to(fam.graph, max_word_len):
         for flt in ultrafilters(fam.algebra(word)):
             if is_tight_finite_type(fam, word, flt):
                 finite.append(FiniteFilterFamily.from_top(fam, word, flt.gen))
-    graph = UltrafilterTransitionGraph(fam)
     infinite = graph.lassos(max_word_len, max_cycle_len)
     return TightSpectrum(
         tuple(sorted(finite, key=FiniteFilterFamily.sort_key)),
         infinite,
         graph.has_branching_cycles(),
     )
+
+
+def _spectrum_counts(graph, max_word_len, max_cycle_len):
+    """The sizes of ``tight_spectrum``'s finite and infinite lists, counted
+    off its transition graph.
+
+    A finite-type point is a word with a sink atom of its algebra.  For the
+    empty word these are the family's atoms inside the sinks.  For a word of
+    k letters, weak left resolution gives each atom of the algebra one
+    atom at each level below, so the pairs are the walks of k nodes that
+    enter the graph with a letter and end at a node whose atom lies inside
+    the sinks.  The infinite-type points are the lassos of ``graph.lassos``.
+    """
+    starts, arcs = graph._lasso_steps()
+    sink = sinks(graph.fam.graph)
+    finite = sum(1 for a in graph.fam.report.atoms if a <= sink)
+    walks = dict.fromkeys(graph.nodes, 0)
+    for _, node in starts:
+        walks[node] += 1
+    for _ in range(max_word_len):
+        finite += sum(n for node, n in walks.items() if node.atom <= sink)
+        step = dict.fromkeys(graph.nodes, 0)
+        for src, _, dst in graph.edges:
+            step[dst] += walks[src]
+        walks = step
+    return finite, _count_canonical_lassos(starts, arcs, max_word_len, max_cycle_len)
 
 
 def _require_phi_hypotheses(fam):
@@ -112,12 +154,15 @@ def boundary_to_filter(fam, path):
     raise DomainError("expected a boundary path, got %r" % (path,))
 
 
+_COUNTS_LINE = "boundary: %d finite + %d infinite | spectrum: %d finite + %d infinite"
+
+
 class PhiReport(namedtuple("PhiReport", "bijective boundary spectrum unmatched_boundary "
                                         "unmatched_spectrum not_injective")):
     __slots__ = ()
 
     def counts_line(self):
-        return "boundary: %d finite + %d infinite | spectrum: %d finite + %d infinite" % (
+        return _COUNTS_LINE % (
             len(self.boundary.finite),
             len(self.boundary.infinite),
             len(self.spectrum.finite),
@@ -157,6 +202,58 @@ def compare_spectrum_with_boundary(g, max_len, max_cycle):
         unmatched_spectrum,
         tuple(str(p) for p in collisions),
     )
+
+
+def _phi_certified(graph):
+    """Whether the transition graph built for a left-resolving powerset
+    space is its edge graph under Phi, checked in one pass over the nodes:
+
+    - the nodes that letter b enters are exactly the singletons of r(b), so
+      the walker's start items are the images (label(e), {dst(e)}) of the
+      edges e;
+    - (R, {u}) -b-> (r(R, b), {v}) is an arc exactly when u -b-> v is an edge.
+
+    Then e |-> (label(e), {dst(e)}) is one to one (left resolution) and
+    carries the boundary lasso walker's starts and arcs onto the transition
+    graph's, so Phi matches the canonical boundary lassos with the
+    infinite-type tight filters one for one, at every bound.
+    """
+    g = graph.fam.graph
+    entered = {item for item, _ in graph._lasso_steps()[0]}
+    if entered != {(e.label, frozenset((e.dst,))) for e in g.edges}:
+        return False
+    ranges = {}
+    for node in graph.nodes:
+        if len(node.atom) != 1:
+            return False
+        (u,) = node.atom
+        expected = set()
+        for e in g.edges_from(u):
+            key = (node.range_set, e.label)
+            if key not in ranges:
+                ranges[key] = g.step(*key)
+            expected.add((e.label, UTGNode(ranges[key], frozenset((e.dst,)))))
+        arcs = graph.successors(node)
+        if len(arcs) != len(expected) or set(arcs) != expected:
+            return False
+    return True
+
+
+def _certified_counts(g, max_len, max_cycle):
+    """The four numbers of ``compare``'s counts line when the Phi certificate
+    holds and both sides count alike, so that Phi is a bijection between the
+    bounded boundary and the bounded tight spectrum of the powerset space;
+    None otherwise, when only the listing can name the unmatched points.
+    The boundary is counted off the edges and sinks, the spectrum off the
+    transition graph's items and sink atoms."""
+    fam = powerset_family(g)
+    _require_phi_hypotheses(fam)
+    graph = UltrafilterTransitionGraph(fam)
+    if not _phi_certified(graph):
+        return None
+    bnd = _boundary_counts(g, max_len, max_cycle)
+    spec = _spectrum_counts(graph, max_len, max_cycle)
+    return bnd + spec if bnd == spec else None
 
 
 class CoverCertificate(namedtuple("CoverCertificate", "element parts")):

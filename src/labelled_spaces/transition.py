@@ -12,8 +12,10 @@ Requires the family to be closed under relative complements; for other
 families the maximal-family search over finite words is the supported route.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import accumulate
 
+from .errors import InputError
 from .filters import LassoFilterFamily
 from .graph import range_of
 from .util import format_vset, vkey
@@ -94,11 +96,6 @@ class UltrafilterTransitionGraph:
         canonical lasso within the bounds comes from one walk, so a tower is
         built only for the lassos returned and the cost follows the output.
         """
-        starts = [((b, n.atom), n) for b, r in self._first.items() for n in self._over.get(r, ())]
-
-        def arcs(node):
-            return [((b, dst.atom), dst) for b, dst in self.successors(node)]
-
         return tuple(sorted(
             (
                 LassoFilterFamily(
@@ -108,10 +105,20 @@ class UltrafilterTransitionGraph:
                     tuple(a for _, a in prefix),
                     tuple(a for _, a in cycle),
                 )
-                for prefix, cycle in _canonical_lassos(starts, arcs, max_prefix, max_cycle)
+                for prefix, cycle in _canonical_lassos(*self._lasso_steps(), max_prefix, max_cycle)
             ),
             key=LassoFilterFamily.sort_key,
         ))
+
+    def _lasso_steps(self):
+        """The walker's (starts, arcs): steps are (letter, atom) items, and a
+        walk enters with a letter whose range is the first node's range set."""
+        starts = [((b, n.atom), n) for b, r in self._first.items() for n in self._over.get(r, ())]
+
+        def arcs(node):
+            return [((b, dst.atom), dst) for b, dst in self.successors(node)]
+
+        return starts, arcs
 
     def format_listing(self):
         lines = ["nodes:"]
@@ -228,6 +235,104 @@ def _canonical_lassos(starts, arcs, max_prefix, max_cycle):
                 yield labels[:p], cycle
         if n < max_prefix + max_cycle:
             stack.extend(walk + (step,) for step in steps)
+
+
+def _count_canonical_lassos(starts, arcs, max_prefix, max_cycle):
+    """The number of lassos ``_canonical_lassos(starts, arcs, max_prefix,
+    max_cycle)`` yields, counted without listing them.
+
+    A canonical lasso within the bounds is an infinite walk that repeats a
+    primitive cycle from step max_prefix + 1 on.  So it is, one for one, a
+    walk of max_prefix + 1 labels, ending at some label x, followed by a
+    primitive closed walk of at most max_cycle labels from x.  Möbius
+    inversion over the divisors of a length c turns the closed walks of
+    length d | c into the primitive ones (the periodic-point counts of Lind &
+    Marcus, *An Introduction to Symbolic Dynamics and Coding*, 1995), so
+    the count is the sum over x and d <= max_cycle of
+    in(x) * M(max_cycle // d) * #{closed walks of d labels from x}, with
+    in(x) the walks of max_prefix + 1 labels ending at x and M the Mertens
+    function.  Labels with the same followers are walked as one group, and
+    closed walks stay inside a strongly connected component of the groups:
+    O(|groups| * |arcs| * max_cycle) exact integer steps.
+    """
+    kind, follow = _label_groups(starts, arcs)
+    # in(x): the walks of max_prefix + 1 labels from a start that end at x
+    ends = Counter(label for label, _ in starts)
+    for _ in range(max_prefix):
+        by_group = Counter()
+        for label, n in ends.items():
+            by_group[kind[label]] += n
+        ends = Counter()
+        for k, n in by_group.items():
+            for label in follow[k]:
+                ends[label] += n
+    comp = {
+        k: i for i, c in enumerate(strongly_connected_components(
+            range(len(follow)), [(k, None, kind[y]) for k, ys in enumerate(follow) for y in ys]))
+        for k in c
+    }
+    # the groups one step from each group inside its component, and for the
+    # closing step the walks ending at each label x: weight[kind x][k] sums
+    # in(x) over the labels x that may follow group k
+    inside = [Counter(kind[y] for y in ys if comp[kind[y]] == comp[k])
+              for k, ys in enumerate(follow)]
+    weight = [Counter() for _ in follow]
+    for k, ys in enumerate(follow):
+        for y in ys:
+            if ends[y] and comp[kind[y]] == comp[k]:
+                weight[kind[y]][k] += ends[y]
+    mertens = _mertens(max_cycle)
+    total = 0
+    for k, closing in enumerate(weight):
+        if not closing:
+            continue
+        walks = {k: 1}
+        for d in range(1, max_cycle + 1):
+            total += mertens[max_cycle // d] * sum(n * closing[j] for j, n in walks.items())
+            step = Counter()
+            for j, n in walks.items():
+                for i, m in inside[j].items():
+                    step[i] += n * m
+            walks = step
+    return total
+
+
+def _label_groups(starts, arcs):
+    """The labels a walk from ``starts`` can reach, grouped by the labels that
+    may follow them: ``kind[label]`` is a group and ``follow[group]`` the
+    labels that may follow it."""
+    kind, follow, groups = {}, [], {}
+    todo = list(starts)
+    while todo:
+        label, state = todo.pop()
+        if label in kind:
+            continue
+        steps = arcs(state)
+        labels = tuple(x for x, _ in steps)
+        kind[label] = groups.setdefault(frozenset(labels), len(follow))
+        if kind[label] == len(follow):
+            follow.append(labels)
+        todo.extend(steps)
+    return kind, follow
+
+
+def _mertens(n):
+    """M(0), ..., M(n): the partial sums of the Möbius function."""
+    mu = [0, 1] + [0] * max(0, n - 1)
+    for i in range(1, n + 1):
+        for j in range(2 * i, n + 1, i):
+            mu[j] -= mu[i]
+    return list(accumulate(mu[:n + 1]))
+
+
+# the most points ``boundary_paths`` or ``tight_spectrum`` lists; past it
+# they refuse, with the exact count, before listing any
+LISTING_BUDGET = 100_000
+
+
+def _refuse_past_budget(count, what):
+    if count > LISTING_BUDGET:
+        raise InputError("%s has %d points; at most %d are listed" % (what, count, LISTING_BUDGET))
 
 
 def ultrafilter_transition_graph(fam):

@@ -1,9 +1,14 @@
 """Small shared helpers: canonical ordering, word and set formatting, lassos,
 and the base of the immutable values that are not tuples."""
 
+import re
+
 from .errors import ParseError
 
 EMPTY_WORD_TOKEN = "@"
+# ``\s`` is the whitespace ``str.strip`` removes
+_SPACE = re.compile(r"\s*")
+_SET_AND_SPACE = re.compile(r"\{([^}]*)\}\s*")
 
 
 class Immutable:
@@ -66,17 +71,18 @@ def parse_vset(text):
 
 
 def parse_vset_list(text):
-    """Parse a concatenation of set literals: ``{a b}{c}{}``."""
-    text = text.strip()
+    """Parse a concatenation of set literals: ``{a b}{c}{}``.  One index
+    walks the text, so the cost is linear in its length."""
     sets = []
-    while text:
-        if not text.startswith("{"):
-            raise ParseError("expected '{' in set list, got %r" % text)
-        end = text.find("}")
-        if end < 0:
-            raise ParseError("unterminated set in %r" % text)
-        sets.append(parse_vset(text[: end + 1]))
-        text = text[end + 1 :].strip()
+    at = _SPACE.match(text).end()
+    while at < len(text):
+        found = _SET_AND_SPACE.match(text, at)
+        if found is None:
+            if text[at] != "{":
+                raise ParseError("expected '{' in set list, got %r" % text[at:].strip())
+            raise ParseError("unterminated set in %r" % text[at:].strip())
+        sets.append(frozenset(found[1].split()))
+        at = found.end()
     return sets
 
 

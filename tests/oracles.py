@@ -596,3 +596,23 @@ def is_tight_finite_type_by_elements(fam, word, flt):
         return False
     pocket = flt.gen & sinks(fam.graph)
     return any(b and b <= pocket for b in fam.algebra(word).elements)
+
+
+def parse_vset_list_by_reslicing(text):
+    """``labelled_spaces.util.parse_vset_list`` as it was before it walked one
+    index through the text: the remaining text is sliced and stripped after
+    every set, so the cost grows with the square of the number of sets."""
+    from labelled_spaces.errors import ParseError
+    from labelled_spaces.util import parse_vset
+
+    text = text.strip()
+    sets = []
+    while text:
+        if not text.startswith("{"):
+            raise ParseError("expected '{' in set list, got %r" % text)
+        end = text.find("}")
+        if end < 0:
+            raise ParseError("unterminated set in %r" % text)
+        sets.append(parse_vset(text[: end + 1]))
+        text = text[end + 1 :].strip()
+    return sets

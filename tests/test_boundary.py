@@ -15,11 +15,13 @@ from labelled_spaces import (
 )
 from labelled_spaces import boundary
 from labelled_spaces.boundary import FinitePath, InfinitePath
+from labelled_spaces.transition import _count_canonical_lassos
 from oracles import (
     deterministic_cycles_by_trail,
     finite_boundary_brute,
     finite_boundary_paths_unpruned,
     isolated_points_by_dedup,
+    recursive_infinite_boundary_paths,
 )
 
 
@@ -228,3 +230,54 @@ class TestIsolatedPointsAgainstDedup:
                 built.clear()
                 infinite = [p for p in isolated_points(g, bound) if isinstance(p, InfinitePath)]
                 assert sorted(built, key=InfinitePath.sort_key) == infinite
+
+
+def counting_edges_from(monkeypatch):
+    """The vertices ``LabelledGraph.edges_from`` is called with, in order."""
+    calls = []
+    edges_from = LabelledGraph.edges_from
+
+    def counted(self, vertex):
+        calls.append(vertex)
+        return edges_from(self, vertex)
+
+    monkeypatch.setattr(LabelledGraph, "edges_from", counted)
+    return calls
+
+
+# a loop at v0 with a tail of 30 vertices from v0 into a sink
+TAIL = ["t%02d" % i for i in range(30)]
+LOOP_AND_TAIL = LabelledGraph(
+    ["v0"] + TAIL,
+    [Edge("loop", "v0", "a", "v0"), Edge("out", "v0", "b", TAIL[0])]
+    + [Edge("e%d" % i, u, "a", v) for i, (u, v) in enumerate(zip(TAIL, TAIL[1:]))],
+)
+
+
+class TestInfiniteBoundaryPruned:
+    """Lassos are walked only along edges whose target can reach a cycle:
+    the listing and its count are those of the unpruned recursive oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 3), st.integers(0, 3))
+    def test_same_paths_and_count(self, rng, max_len, max_cycle):
+        g = sparse_graph(rng)
+        paths = boundary._infinite_boundary_paths(g, max_len, max_cycle)
+        assert by_str(paths) == by_str(recursive_infinite_boundary_paths(g, max_len, max_cycle))
+        assert boundary._boundary_counts(g, max_len, max_cycle) == (
+            len(boundary._finite_boundary_paths(g, max_len)), len(paths))
+
+    def test_no_walk_into_a_dead_end(self, monkeypatch):
+        calls = counting_edges_from(monkeypatch)
+        assert by_str(boundary._infinite_boundary_paths(LOOP_AND_TAIL, 4, 3)) == [
+            "v0 ([loop]a)^inf"]
+        assert set(calls) == {"v0"}
+        calls.clear()
+        steps = boundary._lasso_steps(LOOP_AND_TAIL)
+        assert _count_canonical_lassos(*steps, 4, 3) == 1
+        assert set(calls) == {"v0"}
+
+    def test_finite_count(self):
+        # one path of each length ends at the sink: along the tail, and past
+        # 30 edges with ever more turns of v0's loop first
+        assert boundary._boundary_counts(LOOP_AND_TAIL, 40, 1) == (41, 1)

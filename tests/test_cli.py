@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelled_spaces import cli, family
+from labelled_spaces import FiniteFilterFamily, LassoFilterFamily, cli, family
 from labelled_spaces.cli import run_command
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -182,6 +183,58 @@ class TestExitCodes:
         code, out, err = run(["tight", "single_loop.lgr", "--max-cycle", "3000"])
         assert (code, err) == (0, "")
         assert "infinite type (1):\n  (a)^inf ; gens=({v})^inf ; f0={v}\n" in out
+
+
+class TestListingBudget:
+    """``boundary`` and ``tight`` count exactly before they list, and refuse
+    a listing past the budget at once, naming the bounds and the count;
+    ``compare`` counts without listing."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["boundary", "twins3.lgr", "--max-len", "30", "--max-cycle", "2"],
+             "the boundary up to length 30 and cycle 2 has 9227464 points"),
+            (["tight", "twins3.lgr", "--max-word", "12", "--max-cycle", "12"],
+             "the tight spectrum up to word length 12 and cycle 12 has 263565 points"),
+        ],
+    )
+    def test_refused_at_once(self, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: %s; at most 100000 are listed\n" % message
+
+    def test_compare_counts_past_the_budget(self):
+        start = time.perf_counter()
+        code, out, err = run(["compare", "twins3.lgr", "--max-len", "25", "--max-cycle", "3"])
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert out == ("boundary: 0 finite + 1346268 infinite | "
+                       "spectrum: 0 finite + 1346268 infinite\nbijection: yes\n")
+
+    def test_compare_golden_builds_no_tower(self, monkeypatch):
+        built = []
+        lasso_init = LassoFilterFamily.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append("lasso")
+            lasso_init(self, *args, **kwargs)
+
+        from_top = FiniteFilterFamily.from_top.__func__
+
+        def counted_from_top(klass, *args):
+            built.append("from_top")
+            return from_top(klass, *args)
+
+        monkeypatch.setattr(LassoFilterFamily, "__init__", counted_init)
+        monkeypatch.setattr(FiniteFilterFamily, "from_top", classmethod(counted_from_top))
+        name = "compare_loops4_powerset.txt"
+        code, out, _ = run(GOLDEN_COMMANDS[name])
+        with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
+            assert (code, out) == (0, fh.read())
+        assert built == []
 
 
 class TestOutputs:

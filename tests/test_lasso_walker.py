@@ -3,7 +3,8 @@
 Its answers are compared with the widened and recursive enumerators kept in
 ``oracles.py``, with the paper's bijection between boundary lassos and
 infinite-type tight filters, and its work is pinned as a count: one tower
-built per lasso returned.
+built per lasso returned.  The exact lasso counter is compared with the
+walker's listings.
 """
 
 import pytest
@@ -20,6 +21,9 @@ from labelled_spaces import (
     compare_spectrum_with_boundary,
     powerset_family,
 )
+from labelled_spaces import boundary
+from labelled_spaces.spectra import _spectrum_counts
+from labelled_spaces.transition import _canonical_lassos, _count_canonical_lassos
 from oracles import StepCapExceeded, recursive_infinite_boundary_paths, widened_lassos
 
 # walk extensions after which a draw is skipped: the widened oracle grows
@@ -28,15 +32,17 @@ ORACLE_STEP_CAP = 5000
 
 
 @st.composite
-def random_spaces(draw):
+def random_spaces(draw, powerset=None):
     """A graph on 2-5 vertices and 1-2 letters with the powerset family or
     the closure of a few seed sets, complement closed and weakly left
     resolving.  Powerset graphs are left resolving (at most one edge per
-    letter into each vertex); closure graphs may have up to two more."""
+    letter into each vertex); closure graphs may have up to two more.
+    ``powerset`` fixes the kind; by default it is drawn."""
     verts = tuple("v%d" % i for i in range(1, draw(st.integers(2, 5)) + 1))
     alphabet = "ab"[: draw(st.integers(1, 2))]
     slots = [(b, dst) for dst in verts for b in alphabet]
-    powerset = draw(st.booleans())
+    if powerset is None:
+        powerset = draw(st.booleans())
     if not powerset:
         slots += draw(st.lists(st.sampled_from(slots), max_size=2))
     edges = []
@@ -121,3 +127,47 @@ class TestOutputSensitive:
         lassos = utg.lassos(*bounds)
         assert len(lassos) == count
         assert towers_built[0] == count
+
+
+class TestLassoCount:
+    """``_count_canonical_lassos`` counts, without listing them, the lassos
+    the walker lists: on the edges of random graphs and on the (letter,
+    atom) items of random complement-closed spaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_spaces(), st.integers(0, 4), st.integers(0, 4))
+    def test_boundary_paths(self, space, max_prefix, max_cycle):
+        g, _ = space
+        assert _count_canonical_lassos(*boundary._lasso_steps(g), max_prefix, max_cycle) == len(
+            boundary_paths(g, max_prefix, max_cycle).infinite)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_spaces(), st.integers(0, 4), st.integers(0, 4))
+    def test_transition_lassos(self, space, max_prefix, max_cycle):
+        _, fam = space
+        utg = UltrafilterTransitionGraph(fam)
+        assert _count_canonical_lassos(*utg._lasso_steps(), max_prefix, max_cycle) == len(
+            utg.lassos(max_prefix, max_cycle))
+
+    def test_twins3_long_prefix(self, twins3):
+        g, fam = twins3
+        steps = boundary._lasso_steps(g)
+        listed = sum(1 for _ in _canonical_lassos(*steps, 20, 2))
+        assert listed == _count_canonical_lassos(*steps, 20, 2) == 75024
+        assert _spectrum_counts(UltrafilterTransitionGraph(fam), 20, 2) == (0, 75024)
+
+    @pytest.mark.parametrize("bounds, count", [((30, 2), 9227464), ((25, 3), 1346268)])
+    def test_twins3_counts_past_any_listing(self, twins3, bounds, count):
+        g, fam = twins3
+        assert boundary._boundary_counts(g, *bounds) == (0, count)
+        assert _spectrum_counts(UltrafilterTransitionGraph(fam), *bounds) == (0, count)
+
+    def test_long_cycles(self, single_loop, twins3):
+        """Primitive cycles only: the lassos of twins3 with no prefix are its
+        primitive closed walks, and one loop has one at every cycle bound."""
+        steps = boundary._lasso_steps(single_loop[0])
+        assert _count_canonical_lassos(*steps, 0, 3000) == 1
+        steps = boundary._lasso_steps(twins3[0])
+        for max_cycle in range(8):
+            assert _count_canonical_lassos(*steps, 0, max_cycle) == sum(
+                1 for _ in _canonical_lassos(*steps, 0, max_cycle))

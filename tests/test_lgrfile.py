@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelled_spaces import ParseError
 from labelled_spaces import fixtures
 from labelled_spaces.lgrfile import format_graph_file, load_graph_file, parse_graph_file
+from labelled_spaces.util import parse_vset_list
+from oracles import parse_vset_list_by_reslicing
 
 
 def fset(*items):
@@ -108,3 +112,47 @@ class TestRoundTrip:
             g2, fam2 = builder()
             assert g == g2
             assert fam.sets == fam2.sets
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return "error: %s" % exc
+
+
+# set literals with padding drawn from every kind of whitespace str.strip
+# removes; a malformed list gets one piece of stray text or a set left open
+SPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"), max_size=3)
+SET = st.builds(lambda pad, vs: "{%s%s%s}" % (pad, pad.join(vs), pad),
+                SPACE, st.lists(st.sampled_from(["v1", "v2", "a", "{b"]), max_size=3))
+WELL_FORMED = st.builds("".join, st.lists(st.builds(str.__add__, SPACE, SET), max_size=6))
+MALFORMED = st.builds(
+    lambda head, junk, tail: head + junk + tail,
+    WELL_FORMED,
+    st.sampled_from(["x", "{a b", "}", "{", " x{a}", "{}}"]) | st.text(max_size=4),
+    WELL_FORMED,
+)
+
+
+class TestSetListParser:
+    """``parse_vset_list`` walks one index through the text; the routine it
+    replaced (``oracles.parse_vset_list_by_reslicing``) must give the same
+    sets and the same error texts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(WELL_FORMED)
+    def test_same_sets(self, text):
+        assert parse_vset_list(text) == parse_vset_list_by_reslicing(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(MALFORMED)
+    def test_same_sets_or_errors(self, text):
+        assert _parsed_or_error(parse_vset_list, text) == _parsed_or_error(
+            parse_vset_list_by_reslicing, text)
+
+    def test_both_error_texts_are_met(self):
+        assert _parsed_or_error(parse_vset_list, " {a}\tx {b} ") == (
+            "error: expected '{' in set list, got 'x {b}'")
+        assert _parsed_or_error(parse_vset_list, "{a} {b c ") == (
+            "error: unterminated set in '{b c'")

@@ -1,4 +1,8 @@
+import contextlib
+import copy
+import io
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +31,12 @@ from labelled_spaces import (
     ultrafilters,
     union_cover,
 )
-from labelled_spaces import fixtures
+from labelled_spaces import UltrafilterTransitionGraph, cli, fixtures
 from labelled_spaces.graph import labelled_words_up_to
+from labelled_spaces.spectra import _certified_counts, _phi_certified, _spectrum_counts
 from oracles import is_tight_finite_type_by_elements
 from test_family import random_family
+from test_lasso_walker import random_spaces
 
 
 def fset(*items):
@@ -383,3 +389,117 @@ class TestCoverSemantics:
         for y in idempotents_up_to(fam, 3):
             if leq(fam, y, x):
                 assert any(multiply(fam, z, y) != ZERO for z in part_idems)
+
+
+class TestSpectrumCounts:
+    """``_spectrum_counts`` counts off the transition graph what
+    ``tight_spectrum`` lists."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_spaces(), st.integers(0, 4), st.integers(0, 3))
+    def test_random_spaces(self, space, max_word, max_cycle):
+        _, fam = space
+        spec = tight_spectrum(fam, max_word, max_cycle)
+        assert _spectrum_counts(UltrafilterTransitionGraph(fam), max_word, max_cycle) == (
+            len(spec.finite), len(spec.infinite))
+
+    def test_counted_off_the_one_graph_listed(self, monkeypatch, loops4):
+        built = []
+        init = UltrafilterTransitionGraph.__init__
+
+        def counted(self, fam):
+            built.append(fam)
+            init(self, fam)
+
+        monkeypatch.setattr(UltrafilterTransitionGraph, "__init__", counted)
+        tight_spectrum(loops4[1], 3, 2)
+        assert built == [loops4[1]]
+
+    def test_fixtures(self, loops4, loops4_pow, twins2, twins3, single_loop):
+        for _, fam in (loops4, loops4_pow, twins2, twins3, single_loop):
+            utg = UltrafilterTransitionGraph(fam)
+            for bounds in ((0, 0), (1, 1), (3, 2), (5, 3)):
+                spec = tight_spectrum(fam, *bounds)
+                assert _spectrum_counts(utg, *bounds) == (len(spec.finite), len(spec.infinite))
+
+
+def compare_run(g, max_len, max_cycle, listing=False):
+    """``lspace compare``'s exit code, output and error text on ``g``: as it
+    runs, or, with ``listing``, with the certificate switched off so that
+    both sides are listed."""
+    out, err = io.StringIO(), io.StringIO()
+    no_certificate = mock.patch.object(cli, "_certified_counts", return_value=None)
+    with mock.patch.object(cli, "_load", return_value=(g, None)), (
+            no_certificate if listing else contextlib.nullcontext()):
+        code = cli.run_command(
+            ["compare", "-", "--max-len", str(max_len), "--max-cycle", str(max_cycle)], out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestPhiCertificate:
+    """``compare`` decides from the arc certificate and the counts; the
+    listing of ``compare_spectrum_with_boundary`` must print the same."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_spaces(powerset=True), st.integers(0, 4), st.integers(0, 3))
+    def test_same_output_as_listing(self, space, max_len, max_cycle):
+        g, _ = space
+        assert _certified_counts(g, max_len, max_cycle) is not None
+        run = compare_run(g, max_len, max_cycle)
+        assert run[0] == 0
+        assert run == compare_run(g, max_len, max_cycle, listing=True)
+
+    def test_fixtures(self, loops4_pow, single_loop, twins2, twins3):
+        for g, _ in (loops4_pow, single_loop, twins2, twins3):
+            for bounds in ((0, 1), (2, 2), (4, 3)):
+                assert _certified_counts(g, *bounds) is not None
+                assert compare_run(g, *bounds) == compare_run(g, *bounds, listing=True)
+
+    def test_refusals_are_the_listings(self, loops4):
+        not_left_resolving = LabelledGraph(
+            ("u", "v", "x"), (Edge("e1", "u", "a", "x"), Edge("e2", "v", "a", "x")))
+        too_big = LabelledGraph(
+            ["v%02d" % i for i in range(17)],
+            [Edge("e%d" % i, "v%02d" % i, "a", "v%02d" % ((i + 1) % 17)) for i in range(17)])
+        for g in (not_left_resolving, too_big):
+            run = compare_run(g, 2, 1)
+            assert run[0] in (1, 2) and run[1] == "" and run[2].count("error:") == 1
+            assert run == compare_run(g, 2, 1, listing=True)
+
+    @staticmethod
+    def tampered(utg, how):
+        """A copy of ``utg`` with one arc dropped, one added, or one arc's
+        destination swapped for another node."""
+        bad = copy.copy(utg)
+        succ = {node: list(arcs) for node, arcs in utg._succ.items()}
+        node = next(n for n in utg.nodes if succ.get(n))
+        b, dst = succ[node][0]
+        other = next(n for n in utg.nodes if (b, n) not in succ[node])
+        if how == "drop":
+            del succ[node][0]
+        elif how == "add":
+            succ[node].append((b, other))
+        else:
+            succ[node][0] = (b, other)
+        bad._succ = succ
+        return bad
+
+    @pytest.mark.parametrize("how", ["drop", "add", "swap"])
+    def test_tampered_arcs_are_refused(self, loops4_pow, twins2, twins3, how):
+        for _, fam in (loops4_pow, twins2, twins3):
+            utg = UltrafilterTransitionGraph(fam)
+            assert _phi_certified(utg)
+            assert not _phi_certified(self.tampered(utg, how))
+
+    def test_tampered_entries_are_refused(self, twins3):
+        utg = UltrafilterTransitionGraph(twins3[1])
+        bad = copy.copy(utg)
+        bad._first = dict(utg._first)
+        letters = sorted(bad._first)
+        bad._first[letters[0]] = utg._first[letters[1]]
+        assert utg._first[letters[0]] != utg._first[letters[1]]
+        assert not _phi_certified(bad)
+
+    def test_non_singleton_atoms_are_refused(self, loops4):
+        # loops4's own family is complement closed with coarser atoms
+        assert not _phi_certified(UltrafilterTransitionGraph(loops4[1]))
