@@ -2,16 +2,19 @@
 
 The boundary consists of all infinite paths plus the finite paths (including
 single vertices) ending at a singular vertex.  On a finite graph the singular
-vertices are exactly the sinks.  Infinite paths are listed as canonical edge
-lassos by the same walker as the transition graph's lassos: each canonical
-lasso within the bounds is met once, so the cost follows the output.  Both
-kinds are counted exactly first, and a listing past ``LISTING_BUDGET``
-points is refused.  A branching-cycle flag reports when some strongly
-connected component carries two distinct cycles, in which case the lassos
-are a strict subset of all infinite paths.
+vertices are exactly the sinks.  Finite paths are edge chains grown backwards
+from each sink (``_backward_chains``, the one finite-path walker), so every
+chain grown is a path.  Infinite paths are listed as canonical edge lassos
+by the same walker as the transition graph's lassos: each canonical lasso
+within the bounds is met once, so the cost follows the output.  The boundary
+and its isolated points are counted exactly first, off the numbers of
+chains into each vertex and the lasso counter, and a listing past
+``LISTING_BUDGET`` points is refused.  A branching-cycle flag reports when
+some strongly connected component carries two distinct cycles, in which
+case the lassos are a strict subset of all infinite paths.
 """
 
-from collections import namedtuple
+from collections import deque, namedtuple
 
 from .errors import DomainError
 from .graph import singular_vertices
@@ -120,27 +123,14 @@ class BoundaryReport(namedtuple("BoundaryReport", "finite infinite has_branching
 
 
 def _finite_boundary_paths(g, max_len):
-    """The finite boundary paths of at most ``max_len`` edges.  A walk is
-    grown only while its end can still reach a sink in the edges left, so
-    the work follows the paths found: none on a graph without sinks."""
-    sing = singular_vertices(g)
-    # distance to the nearest sink, for the vertices within ``max_len`` of one
-    dist = dict.fromkeys(sing, 0)
-    layer = list(sing)
-    for n in range(1, max_len + 1):
-        layer = {e.src for v in layer for e in g.edges_into(v)} - dist.keys()
-        dist.update(dict.fromkeys(layer, n))
-    out = [FinitePath(v, ()) for v in sorted(sing)]
-    frontier = [((), v) for v in sorted(g.vertices) if v in dist]
-    for left in reversed(range(max_len)):
-        frontier = [
-            (edges + (e,), e.dst)
-            for edges, at in frontier
-            for e in g.edges_from(at)
-            if dist.get(e.dst, max_len) <= left
-        ]
-        out.extend(FinitePath(edges[0].src, edges) for edges, at in frontier if at in sing)
-    return tuple(sorted(out, key=FinitePath.sort_key))
+    """The finite boundary paths of at most ``max_len`` edges: each sink and
+    each edge chain into it, grown backwards from it, so every chain grown
+    is a path found."""
+    return tuple(sorted(
+        (FinitePath(chain[0].src if chain else s, chain)
+         for s in singular_vertices(g) for chain in _backward_chains(g, s, max_len)),
+        key=FinitePath.sort_key,
+    ))
 
 
 def _backward_chains(g, head, max_len):
@@ -153,17 +143,21 @@ def _backward_chains(g, head, max_len):
         yield from chains
 
 
-def _count_finite_boundary_paths(g, max_len):
-    """``len(_finite_boundary_paths(g, max_len))``, counted: the sum over
-    k <= max_len of in_k over the sinks, in_k(v) being the paths of k edges
+def _chain_counts(g, max_len):
+    """Yields in_0, ..., in_max_len: in_k[v] counts the chains of k edges
     that end at v."""
-    sing = singular_vertices(g)
-    ends = dict.fromkeys(g.vertices, 1)
-    count = len(sing)
+    ins = dict.fromkeys(g.vertices, 1)
+    yield ins
     for _ in range(max_len):
-        ends = {v: sum(ends[e.src] for e in g.edges_into(v)) for v in g.vertices}
-        count += sum(ends[v] for v in sing)
-    return count
+        ins = {v: sum(ins[e.src] for e in g.edges_into(v)) for v in g.vertices}
+        yield ins
+
+
+def _count_finite_boundary_paths(g, max_len):
+    """``len(_finite_boundary_paths(g, max_len))``, counted: the chains of at
+    most ``max_len`` edges into the sinks."""
+    sing = singular_vertices(g)
+    return sum(ins[v] for ins in _chain_counts(g, max_len) for v in sing)
 
 
 def _lasso_steps(g):
@@ -238,6 +232,16 @@ def _deterministic_cycles(g):
     return out
 
 
+def _count_isolated_points(g, max_prefix, rotations):
+    """``len(isolated_points(g, max_prefix))``, counted: the finite boundary
+    paths, and the chains of ``max_prefix`` edges into each rotation's head.
+    An isolated infinite path whose canonical prefix fits the bound runs
+    round its deterministic cycle from edge ``max_prefix`` on, so it is, one
+    for one, its first ``max_prefix`` edges and the rotation they end at."""
+    last = deque(_chain_counts(g, max_prefix), maxlen=1).pop()
+    return _count_finite_boundary_paths(g, max_prefix) + sum(last[r[0].src] for r in rotations)
+
+
 def isolated_points(g, max_prefix):
     """The isolated points of the boundary, up to the prefix bound.
 
@@ -247,9 +251,12 @@ def isolated_points(g, max_prefix):
     cycle is deterministic; representatives are listed with prefixes of
     length at most ``max_prefix``.  The cycle is simple, so a (chain, rotation)
     pair is a canonical lasso, built once, exactly when the chain is empty or
-    does not end with the rotation's last edge.
+    does not end with the rotation's last edge.  Past ``LISTING_BUDGET``
+    points it raises ``InputError`` with their exact number instead.
     """
     rotations = [c[p:] + c[:p] for c in _deterministic_cycles(g) for p in range(len(c))]
+    _refuse_past_budget(_count_isolated_points(g, max_prefix, rotations),
+                        "the isolated part of the boundary up to prefix %d" % max_prefix)
     infinite = [
         make_infinite_path(g, chain, rotated)
         for rotated in rotations

@@ -13,6 +13,7 @@ import sys
 from . import fixtures
 from .boundary import boundary_paths, isolated_points
 from .errors import DomainError, InputError, LabelledSpaceError, ParseError
+from .family import powerset_family
 from .filters import parse_filter_family, ultrafilters
 from .graph import is_labelled_path
 from .lgrfile import load_graph_file
@@ -163,9 +164,12 @@ def cmd_boundary(args, out):
 
 def cmd_compare(args, out):
     """Phi is a bijection when its arc certificate holds and both sides count
-    alike; only otherwise are both sides listed, to name unmatched points."""
-    g, _ = _load(args.graph)
-    counts = _certified_counts(g, args.max_len, args.max_cycle)
+    alike; only otherwise are both sides listed, to name unmatched points.
+    A loaded family of 2^|V| members is the powerset and is used as it is."""
+    g, fam = _load(args.graph)
+    if len(fam.sets) != 1 << len(g.vertices):
+        fam = powerset_family(g)
+    counts = _certified_counts(fam, args.max_len, args.max_cycle)
     if counts is not None:
         out.write(_COUNTS_LINE % counts + "\nbijection: yes\n")
         return 0

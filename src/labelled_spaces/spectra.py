@@ -1,11 +1,14 @@
 """The tight spectrum, its boundary-path description, covers and refutation.
 
-Tight filters come in two kinds: the infinite-type ultrafilters (listed as
-lassos through the ultrafilter transition graph) and the finite-type towers
-whose deepest filter is an ultrafilter with its generator inside the sinks
-(a finite graph has no infinite emitters).  Both kinds are counted exactly
-off the transition graph before they are listed, and a listing past
-``LISTING_BUDGET`` points is refused.
+Tight filters are walks through the ultrafilter transition graph, as
+boundary paths are walks through the graph.  The infinite-type ultrafilters
+are its lassos.  The finite-type towers, whose deepest filter is an
+ultrafilter with its generator inside the sinks (a finite graph has no
+infinite emitters), are its walks that end at a sink atom.  A tower's levels
+are read off its walk's nodes, and level 0 off its first item, so no tower
+is derived by a preimage scan.  Both kinds are counted exactly off the same
+graph before they are listed, and a listing past ``LISTING_BUDGET`` points
+is refused.
 
 ``compare`` decides the paper's theorem from a certificate read off the
 transition graph's arcs (``_phi_certified``) and the exact counts of both
@@ -25,8 +28,8 @@ from .filters import (
     is_es_ultrafilter,
     ultrafilters,
 )
-from .graph import is_left_resolving, labelled_words_up_to, sinks
-from .semigroup import make_element
+from .graph import is_left_resolving, sinks
+from .semigroup import is_idempotent, make_element
 from .transition import (
     UltrafilterTransitionGraph,
     UTGNode,
@@ -77,22 +80,28 @@ def tight_spectrum(fam, max_word_len, max_cycle_len):
     The branching flag marks when the transition graph has a component with
     two cycles, so the lasso list undercounts the infinite-type points.
     Past ``LISTING_BUDGET`` points it raises ``InputError`` with their exact
-    number instead.
+    number instead.  The finite-type towers are the walks that
+    ``_spectrum_counts`` counts, and the family atoms inside the sinks.
     """
     graph = UltrafilterTransitionGraph(fam)
     _refuse_past_budget(
         sum(_spectrum_counts(graph, max_word_len, max_cycle_len)),
         "the tight spectrum up to word length %d and cycle %d" % (max_word_len, max_cycle_len),
     )
-    finite = []
-    for word in labelled_words_up_to(fam.graph, max_word_len):
-        for flt in ultrafilters(fam.algebra(word)):
-            if is_tight_finite_type(fam, word, flt):
-                finite.append(FiniteFilterFamily.from_top(fam, word, flt.gen))
-    infinite = graph.lassos(max_word_len, max_cycle_len)
+    sink = sinks(fam.graph)
+    finite = [FiniteFilterFamily(fam, (), (a,)) for a in fam.report.atoms if a <= sink]
+    level0 = graph._level0()
+    stack = [((item,), node) for item, node in graph._lasso_steps()[0]] if max_word_len else []
+    while stack:
+        walk, node = stack.pop()
+        if node.atom <= sink:
+            finite.append(FiniteFilterFamily(fam, tuple(b for b, _ in walk),
+                                             (level0.get(walk[0]),) + tuple(a for _, a in walk)))
+        if len(walk) < max_word_len:
+            stack.extend((walk + ((b, dst.atom),), dst) for b, dst in graph.successors(node))
     return TightSpectrum(
         tuple(sorted(finite, key=FiniteFilterFamily.sort_key)),
-        infinite,
+        graph.lassos(max_word_len, max_cycle_len),
         graph.has_branching_cycles(),
     )
 
@@ -133,24 +142,21 @@ def _require_phi_hypotheses(fam):
 def boundary_to_filter(fam, path):
     """The tower of singleton-generated filters along a boundary path.
 
-    Level n is generated by the range vertex of the path's n-th edge; for a
-    left resolving graph with the powerset family this lands in the tight
-    spectrum and is a bijection onto it.
+    Level n is generated by the range vertex of the path's n-th edge and
+    level 0 by the start vertex, which left resolution makes the preimage;
+    for a left resolving graph with the powerset family this lands in the
+    tight spectrum and is a bijection onto it.
     """
     _require_phi_hypotheses(fam)
     if isinstance(path, FinitePath):
-        word = path.labels()
-        gens = [frozenset([path.source])]
-        at = path.source
-        for e in path.edges:
-            at = e.dst
-            gens.append(frozenset([at]))
-        return FiniteFilterFamily(fam, word, gens)
+        gens = [frozenset([path.source])] + [frozenset([e.dst]) for e in path.edges]
+        return FiniteFilterFamily(fam, path.labels(), gens)
     if isinstance(path, InfinitePath):
         prefix_labels, cycle_labels = path.labels()
         prefix_gens = [frozenset([e.dst]) for e in path.prefix]
         cycle_gens = [frozenset([e.dst]) for e in path.cycle]
-        return LassoFilterFamily(fam, prefix_labels, cycle_labels, prefix_gens, cycle_gens)
+        return LassoFilterFamily(fam, prefix_labels, cycle_labels, prefix_gens, cycle_gens,
+                                 f0_gen=frozenset([(path.prefix or path.cycle)[0].src]))
     raise DomainError("expected a boundary path, got %r" % (path,))
 
 
@@ -178,21 +184,15 @@ def compare_spectrum_with_boundary(g, max_len, max_cycle):
     _require_phi_hypotheses(fam)
     bnd = boundary_paths(g, max_len, max_cycle)
     spec = tight_spectrum(fam, max_len, max_cycle)
-    images = {}
-    collisions = []
+    images, collisions = {}, []
     for path in bnd.all_points():
-        fam_img = boundary_to_filter(fam, path)
-        key = fam_img.canonical_key()
+        key = boundary_to_filter(fam, path).canonical_key()
         if key in images:
             collisions.append(path)
         images[key] = path
     spec_keys = {d.canonical_key(): d for d in spec.all_points()}
-    unmatched_boundary = tuple(
-        str(images[k]) for k in sorted(set(images) - set(spec_keys))
-    )
-    unmatched_spectrum = tuple(
-        spec_keys[k].format() for k in sorted(set(spec_keys) - set(images))
-    )
+    unmatched_boundary = tuple(str(images[k]) for k in sorted(set(images) - set(spec_keys)))
+    unmatched_spectrum = tuple(spec_keys[k].format() for k in sorted(set(spec_keys) - set(images)))
     bijective = not collisions and not unmatched_boundary and not unmatched_spectrum
     return PhiReport(
         bijective,
@@ -239,19 +239,18 @@ def _phi_certified(graph):
     return True
 
 
-def _certified_counts(g, max_len, max_cycle):
+def _certified_counts(fam, max_len, max_cycle):
     """The four numbers of ``compare``'s counts line when the Phi certificate
     holds and both sides count alike, so that Phi is a bijection between the
-    bounded boundary and the bounded tight spectrum of the powerset space;
-    None otherwise, when only the listing can name the unmatched points.
-    The boundary is counted off the edges and sinks, the spectrum off the
-    transition graph's items and sink atoms."""
-    fam = powerset_family(g)
+    bounded boundary and the bounded tight spectrum of the powerset space
+    ``fam``; None otherwise, when only the listing can name the unmatched
+    points.  The boundary is counted off the edges and sinks, the spectrum
+    off the transition graph's items and sink atoms."""
     _require_phi_hypotheses(fam)
     graph = UltrafilterTransitionGraph(fam)
     if not _phi_certified(graph):
         return None
-    bnd = _boundary_counts(g, max_len, max_cycle)
+    bnd = _boundary_counts(fam.graph, max_len, max_cycle)
     spec = _spectrum_counts(graph, max_len, max_cycle)
     return bnd + spec if bnd == spec else None
 
@@ -275,8 +274,6 @@ def union_cover(fam, x, parts):
     """Certify that the parts cover the idempotent ``x``: each part must be a
     nonempty algebra member inside the middle set and their union must be the
     whole middle set.  Rejection carries the uncovered residue."""
-    from .semigroup import is_idempotent
-
     if x.is_zero or not is_idempotent(x):
         raise DomainError("covers are formed for nonzero idempotents")
     algebra = fam.algebra(x.alpha)
@@ -291,7 +288,7 @@ def union_cover(fam, x, parts):
                 % (format_vset(p), format_vset(x.vset))
             )
         clean.append(p)
-    union = frozenset().union(*clean) if clean else frozenset()
+    union = frozenset().union(*clean)
     if union != x.vset:
         raise CoverError(
             "parts do not cover %s" % format_vset(x.vset), residue=x.vset - union
@@ -304,27 +301,17 @@ def _coarsest_nonmember_partition(algebra, gen, vset):
     as the merge stays outside the filter generated by ``gen``.  Returns None
     when no all-outside partition exists from atoms."""
     atoms = [a for a in algebra.atoms if a <= vset]
-    if any(gen <= a for a in atoms):
-        return None
-    union = frozenset().union(*atoms) if atoms else frozenset()
-    if union != vset:
+    if any(gen <= a for a in atoms) or frozenset().union(*atoms) != vset:
         return None
     parts = sorted(atoms, key=vkey)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                candidate = parts[i] | parts[j]
-                if not gen <= candidate:
-                    parts[i] = candidate
-                    del parts[j]
-                    parts.sort(key=vkey)
-                    merged = True
-                    break
-            if merged:
-                break
-    return tuple(parts)
+    while True:
+        pair = next(((i, j) for i in range(len(parts)) for j in range(i + 1, len(parts))
+                     if not gen <= parts[i] | parts[j]), None)
+        if pair is None:
+            return tuple(parts)
+        i, j = pair
+        parts[i] = parts[i] | parts.pop(j)
+        parts.sort(key=vkey)
 
 
 def refute_tightness(fam, family, search_depth):
@@ -337,11 +324,8 @@ def refute_tightness(fam, family, search_depth):
     """
     if not family.is_complete():
         raise DomainError("refutation is about filters in E(S), i.e. complete towers")
-    if family.is_lasso:
-        levels = range(search_depth + 1)
-    else:
-        levels = range(min(search_depth, len(family.word)) + 1)
-    for n in levels:
+    depth = search_depth if family.is_lasso else min(search_depth, len(family.word))
+    for n in range(depth + 1):
         gen = family.gen_at(n)
         if gen is None:
             continue

@@ -94,8 +94,10 @@ class UltrafilterTransitionGraph:
         node's range set.  By the arc rule (module docstring) the arcs out
         of a node depend on its atom alone, as the lasso walker needs.  Each
         canonical lasso within the bounds comes from one walk, so a tower is
-        built only for the lassos returned and the cost follows the output.
+        built only for the lassos returned and the cost follows the output;
+        level 0 is read off the walk's first item (``_level0``).
         """
+        level0 = self._level0()
         return tuple(sorted(
             (
                 LassoFilterFamily(
@@ -104,11 +106,24 @@ class UltrafilterTransitionGraph:
                     tuple(b for b, _ in cycle),
                     tuple(a for _, a in prefix),
                     tuple(a for _, a in cycle),
+                    f0_gen=level0.get((prefix or cycle)[0]),
                 )
                 for prefix, cycle in _canonical_lassos(*self._lasso_steps(), max_prefix, max_cycle)
             ),
             key=LassoFilterFamily.sort_key,
         ))
+
+    def _level0(self):
+        """The level-0 generators of the towers, keyed by the start item
+        (b, A1) they enter with; an item is missing when level 0 is empty.
+        By the arc rule (module docstring) over the family's own atoms, the
+        generator is the atom a with A1 <= r(a, b)."""
+        g, level0 = self.fam.graph, {}
+        for b, r in self._first.items():
+            for a in self.fam.report.atoms:
+                reach = g.step(a, b)
+                level0.update(((b, n.atom), a) for n in self._over.get(r, ()) if n.atom <= reach)
+        return level0
 
     def _lasso_steps(self):
         """The walker's (starts, arcs): steps are (letter, atom) items, and a
@@ -139,56 +154,43 @@ class UltrafilterTransitionGraph:
 
 
 def strongly_connected_components(nodes, edges):
-    """Tarjan's algorithm over explicit node/edge lists."""
-    succ = {}
+    """Kosaraju's algorithm over explicit node/edge lists: a depth-first
+    search lists the nodes as it finishes them, and each node taken in the
+    reverse of that order, if not yet placed, collects the unplaced nodes
+    that reach it into one component."""
+    succ, pred = {}, {}
     for src, _, dst in edges:
         succ.setdefault(src, []).append(dst)
-    index = {}
-    low = {}
-    stack = []
-    on_stack = set()
-    out = []
-    counter = [0]
-
-    def visit(v):
-        work = [(v, iter(succ.get(v, ())))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
+        pred.setdefault(dst, []).append(src)
+    finished, seen = [], set()
+    for root in nodes:
+        if root in seen:
+            continue
+        seen.add(root)
+        work = [(root, iter(succ.get(root, ())))]
         while work:
             node, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
+                if w not in seen:
+                    seen.add(w)
                     work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
                     break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
+            else:
+                work.pop()
+                finished.append(node)
+    out, placed = [], set()
+    for root in reversed(finished):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp, todo = {root}, [root]
+        while todo:
+            for w in pred.get(todo.pop(), ()):
+                if w not in placed:
+                    placed.add(w)
                     comp.add(w)
-                    if w == node:
-                        break
-                out.append(comp)
-
-    for v in nodes:
-        if v not in index:
-            visit(v)
+                    todo.append(w)
+        out.append(comp)
     return out
 
 
@@ -325,8 +327,9 @@ def _mertens(n):
     return list(accumulate(mu[:n + 1]))
 
 
-# the most points ``boundary_paths`` or ``tight_spectrum`` lists; past it
-# they refuse, with the exact count, before listing any
+# the most points ``boundary_paths``, ``isolated_points`` or
+# ``tight_spectrum`` lists; past it they refuse, with the exact count, before
+# listing any
 LISTING_BUDGET = 100_000
 
 

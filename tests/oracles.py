@@ -616,3 +616,22 @@ def parse_vset_list_by_reslicing(text):
         sets.append(parse_vset(text[: end + 1]))
         text = text[end + 1 :].strip()
     return sets
+
+
+def finite_towers_by_words(fam, max_word_len):
+    """The finite-type towers of ``labelled_spaces.tight_spectrum`` as it
+    listed them before it read them off the transition graph's walks: every
+    labelled word up to ``max_word_len``, every ultrafilter of its algebra
+    whose generator lies inside the sinks, and each tower derived from that
+    deepest filter by preimage scans (``FiniteFilterFamily.from_top``)."""
+    from labelled_spaces.filters import FiniteFilterFamily, ultrafilters
+    from labelled_spaces.graph import labelled_words_up_to, sinks
+
+    sink = sinks(fam.graph)
+    towers = [
+        FiniteFilterFamily.from_top(fam, word, flt.gen)
+        for word in labelled_words_up_to(fam.graph, max_word_len)
+        for flt in ultrafilters(fam.algebra(word))
+        if flt.gen <= sink
+    ]
+    return tuple(sorted(towers, key=FiniteFilterFamily.sort_key))

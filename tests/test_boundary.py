@@ -50,10 +50,10 @@ class TestFiniteBoundary:
 
 
 class TestFiniteBoundaryTowardSinks:
-    """``_finite_boundary_paths`` grows a walk only while its end can still
-    reach a sink; the listing that grew every walk
-    (``oracles.finite_boundary_paths_unpruned``) must give the same paths, in
-    the same order."""
+    """``_finite_boundary_paths`` walks backwards from each sink
+    (``_backward_chains``), so every chain it grows is a path; the listing
+    that grew every walk forwards (``oracles.finite_boundary_paths_unpruned``)
+    must give the same paths, in the same order."""
 
     @staticmethod
     def graph(rng):
@@ -209,6 +209,15 @@ class TestIsolatedPointsAgainstDedup:
     def test_same_cycles(self, rng):
         g = sparse_graph(rng)
         assert boundary._deterministic_cycles(g) == deterministic_cycles_by_trail(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 5))
+    def test_count_is_the_listing_length(self, rng, bound):
+        g = sparse_graph(rng)
+        rotations = [c[p:] + c[:p] for c in boundary._deterministic_cycles(g)
+                     for p in range(len(c))]
+        assert boundary._count_isolated_points(g, bound, rotations) == len(
+            isolated_points(g, bound))
 
     def test_draws_have_cycles_of_several_lengths(self):
         lengths = {len(c) for s in range(200)

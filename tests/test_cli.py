@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelled_spaces import FiniteFilterFamily, LassoFilterFamily, cli, family
+from labelled_spaces import FiniteFilterFamily, LassoFilterFamily, cli, family, filters
 from labelled_spaces.cli import run_command
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -186,9 +186,9 @@ class TestExitCodes:
 
 
 class TestListingBudget:
-    """``boundary`` and ``tight`` count exactly before they list, and refuse
-    a listing past the budget at once, naming the bounds and the count;
-    ``compare`` counts without listing."""
+    """``boundary``, ``tight`` and ``isolated`` count exactly before they
+    list, and refuse a listing past the budget at once, naming the bounds and
+    the count; ``compare`` counts without listing."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -197,6 +197,8 @@ class TestListingBudget:
              "the boundary up to length 30 and cycle 2 has 9227464 points"),
             (["tight", "twins3.lgr", "--max-word", "12", "--max-cycle", "12"],
              "the tight spectrum up to word length 12 and cycle 12 has 263565 points"),
+            (["isolated", "twins3.lgr", "--max-prefix", "30"],
+             "the isolated part of the boundary up to prefix 30 has 3524577 points"),
         ],
     )
     def test_refused_at_once(self, argv, message):
@@ -235,6 +237,28 @@ class TestListingBudget:
         with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
             assert (code, out) == (0, fh.read())
         assert built == []
+
+    def test_tight_golden_scans_no_preimage(self, monkeypatch):
+        # every tower, level 0 included, is read off the transition graph
+        scans = []
+        preimage_gen = filters._preimage_gen
+        from_top = FiniteFilterFamily.from_top.__func__
+
+        def counted_preimage_gen(*args):
+            scans.append("_preimage_gen")
+            return preimage_gen(*args)
+
+        def counted_from_top(klass, *args):
+            scans.append("from_top")
+            return from_top(klass, *args)
+
+        monkeypatch.setattr(filters, "_preimage_gen", counted_preimage_gen)
+        monkeypatch.setattr(FiniteFilterFamily, "from_top", classmethod(counted_from_top))
+        name = "tight_loops4.txt"
+        code, out, _ = run(GOLDEN_COMMANDS[name])
+        with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
+            assert (code, out) == (0, fh.read())
+        assert scans == []
 
 
 class TestOutputs:

@@ -18,6 +18,7 @@ from labelled_spaces import (
     PrincipalFilter,
     boundary_paths,
     boundary_to_filter,
+    closure,
     compare_spectrum_with_boundary,
     enumerate_complete_families,
     is_es_ultrafilter,
@@ -34,7 +35,7 @@ from labelled_spaces import (
 from labelled_spaces import UltrafilterTransitionGraph, cli, fixtures
 from labelled_spaces.graph import labelled_words_up_to
 from labelled_spaces.spectra import _certified_counts, _phi_certified, _spectrum_counts
-from oracles import is_tight_finite_type_by_elements
+from oracles import finite_towers_by_words, is_tight_finite_type_by_elements
 from test_family import random_family
 from test_lasso_walker import random_spaces
 
@@ -391,6 +392,45 @@ class TestCoverSemantics:
                 assert any(multiply(fam, z, y) != ZERO for z in part_idems)
 
 
+class TestTowersFromWalks:
+    """``tight_spectrum`` reads every tower off the transition graph's walks,
+    level 0 included: its finite-type towers must be the word enumeration's
+    (``oracles.finite_towers_by_words``), and each lasso must equal the same
+    tower with its level 0 derived by the preimage scan."""
+
+    @staticmethod
+    def check(fam, max_word, max_cycle):
+        spec = tight_spectrum(fam, max_word, max_cycle)
+        assert spec.finite == finite_towers_by_words(fam, max_word)
+        for tower in spec.infinite:
+            assert tower == LassoFilterFamily(fam, tower.prefix_letters, tower.cycle_letters,
+                                              tower.prefix_gens, tower.cycle_gens)
+        return spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_spaces(), st.integers(0, 4), st.integers(0, 3))
+    def test_random_spaces(self, space, max_word, max_cycle):
+        self.check(space[1], max_word, max_cycle)
+
+    def test_fixtures(self, loops4, loops4_pow, twins2, twins3, single_loop):
+        for _, fam in (loops4, loops4_pow, twins2, twins3, single_loop):
+            self.check(fam, 3, 2)
+
+    def test_not_left_resolving_with_empty_level0(self):
+        # u and v enter the sink x with one letter; x has a b-loop in ``looped``
+        edges = (Edge("e1", "u", "a", "x"), Edge("e2", "v", "a", "x"))
+        sink = LabelledGraph(("u", "v", "x"), edges)
+        looped = LabelledGraph(("u", "v", "x"), edges + (Edge("e3", "x", "b", "x"),))
+        level0 = []
+        for g in (sink, looped):
+            for seeds in ((), ({"u", "v"},)):
+                spec = self.check(closure(g, seeds), 3, 2)
+                level0 += [t.gens[0] for t in spec.finite if t.word]
+                level0 += [t.f0_gen for t in spec.infinite]
+        # {u v} generates level 0 when it is a member, and nothing does otherwise
+        assert set(level0) == {None, fset("u", "v"), fset("x")}
+
+
 class TestSpectrumCounts:
     """``_spectrum_counts`` counts off the transition graph what
     ``tight_spectrum`` lists."""
@@ -423,13 +463,13 @@ class TestSpectrumCounts:
                 assert _spectrum_counts(utg, *bounds) == (len(spec.finite), len(spec.infinite))
 
 
-def compare_run(g, max_len, max_cycle, listing=False):
-    """``lspace compare``'s exit code, output and error text on ``g``: as it
-    runs, or, with ``listing``, with the certificate switched off so that
-    both sides are listed."""
+def compare_run(space, max_len, max_cycle, listing=False):
+    """``lspace compare``'s exit code, output and error text on a loaded
+    ``space`` (graph, family): as it runs, or, with ``listing``, with the
+    certificate switched off so that both sides are listed."""
     out, err = io.StringIO(), io.StringIO()
     no_certificate = mock.patch.object(cli, "_certified_counts", return_value=None)
-    with mock.patch.object(cli, "_load", return_value=(g, None)), (
+    with mock.patch.object(cli, "_load", return_value=space), (
             no_certificate if listing else contextlib.nullcontext()):
         code = cli.run_command(
             ["compare", "-", "--max-len", str(max_len), "--max-cycle", str(max_cycle)], out, err)
@@ -443,17 +483,16 @@ class TestPhiCertificate:
     @settings(max_examples=200, deadline=None)
     @given(random_spaces(powerset=True), st.integers(0, 4), st.integers(0, 3))
     def test_same_output_as_listing(self, space, max_len, max_cycle):
-        g, _ = space
-        assert _certified_counts(g, max_len, max_cycle) is not None
-        run = compare_run(g, max_len, max_cycle)
+        assert _certified_counts(space[1], max_len, max_cycle) is not None
+        run = compare_run(space, max_len, max_cycle)
         assert run[0] == 0
-        assert run == compare_run(g, max_len, max_cycle, listing=True)
+        assert run == compare_run(space, max_len, max_cycle, listing=True)
 
     def test_fixtures(self, loops4_pow, single_loop, twins2, twins3):
-        for g, _ in (loops4_pow, single_loop, twins2, twins3):
+        for space in (loops4_pow, single_loop, twins2, twins3):
             for bounds in ((0, 1), (2, 2), (4, 3)):
-                assert _certified_counts(g, *bounds) is not None
-                assert compare_run(g, *bounds) == compare_run(g, *bounds, listing=True)
+                assert _certified_counts(space[1], *bounds) is not None
+                assert compare_run(space, *bounds) == compare_run(space, *bounds, listing=True)
 
     def test_refusals_are_the_listings(self, loops4):
         not_left_resolving = LabelledGraph(
@@ -461,10 +500,12 @@ class TestPhiCertificate:
         too_big = LabelledGraph(
             ["v%02d" % i for i in range(17)],
             [Edge("e%d" % i, "v%02d" % i, "a", "v%02d" % ((i + 1) % 17)) for i in range(17)])
+        # loaded with a family that is not the powerset, which compare builds
         for g in (not_left_resolving, too_big):
-            run = compare_run(g, 2, 1)
+            space = (g, closure(g, ()))
+            run = compare_run(space, 2, 1)
             assert run[0] in (1, 2) and run[1] == "" and run[2].count("error:") == 1
-            assert run == compare_run(g, 2, 1, listing=True)
+            assert run == compare_run(space, 2, 1, listing=True)
 
     @staticmethod
     def tampered(utg, how):
