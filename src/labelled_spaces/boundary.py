@@ -2,26 +2,22 @@
 
 The boundary consists of all infinite paths plus the finite paths (including
 single vertices) ending at a singular vertex.  On a finite graph the singular
-vertices are exactly the sinks.  Finite paths are edge chains grown backwards
-from each sink (``_backward_chains``, the one finite-path walker), so every
-chain grown is a path.  Infinite paths are listed as canonical edge lassos
-by the same walker as the transition graph's lassos: each canonical lasso
-within the bounds is met once, so the cost follows the output.  The boundary
-and its isolated points are counted exactly first, off the numbers of
-chains into each vertex and the lasso counter, and a listing past
-``LISTING_BUDGET`` points is refused.  A branching-cycle flag reports when
-some strongly connected component carries two distinct cycles, in which
-case the lassos are a strict subset of all infinite paths.
+vertices are exactly the sinks.  Paths are the walks of a walk system on the
+edges (``transition._Walks``): finite paths end at a sink, and infinite ones
+are listed as canonical lassos.  The boundary and its isolated points are
+counted exactly first, and a listing past ``LISTING_BUDGET`` points is
+refused.  A branching-cycle flag reports when some strongly connected
+component carries two distinct cycles, in which case the lassos are a strict
+subset of all infinite paths.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .errors import DomainError
 from .graph import singular_vertices
 from .transition import (
-    _canonical_lassos,
-    _count_canonical_lassos,
     _refuse_past_budget,
+    _Walks,
     has_branching_cycles,
     strongly_connected_components,
 )
@@ -50,10 +46,8 @@ class FinitePath(namedtuple("FinitePath", "base edges")):
     def __str__(self):
         if not self.edges:
             return self.base
-        bits = [self.edges[0].src]
-        for e in self.edges:
-            bits.append("-[%s]%s-> %s" % (e.eid, e.label, e.dst))
-        return " ".join(bits)
+        steps = ["-[%s]%s-> %s" % (e.eid, e.label, e.dst) for e in self.edges]
+        return " ".join([self.edges[0].src] + steps)
 
 
 class InfinitePath(namedtuple("InfinitePath", "prefix cycle")):
@@ -122,84 +116,20 @@ class BoundaryReport(namedtuple("BoundaryReport", "finite infinite has_branching
         return self.finite + self.infinite
 
 
-def _finite_boundary_paths(g, max_len):
-    """The finite boundary paths of at most ``max_len`` edges: each sink and
-    each edge chain into it, grown backwards from it, so every chain grown
-    is a path found."""
-    return tuple(sorted(
-        (FinitePath(chain[0].src if chain else s, chain)
-         for s in singular_vertices(g) for chain in _backward_chains(g, s, max_len)),
-        key=FinitePath.sort_key,
-    ))
-
-
-def _backward_chains(g, head, max_len):
-    """Every edge chain of length at most ``max_len`` that ends at ``head``,
-    shortest first, starting with the empty chain."""
-    chains = [()]
-    yield ()
-    for _ in range(max_len):
-        chains = [(e,) + c for c in chains for e in g.edges_into(c[0].src if c else head)]
-        yield from chains
-
-
-def _chain_counts(g, max_len):
-    """Yields in_0, ..., in_max_len: in_k[v] counts the chains of k edges
-    that end at v."""
-    ins = dict.fromkeys(g.vertices, 1)
-    yield ins
-    for _ in range(max_len):
-        ins = {v: sum(ins[e.src] for e in g.edges_into(v)) for v in g.vertices}
-        yield ins
-
-
-def _count_finite_boundary_paths(g, max_len):
-    """``len(_finite_boundary_paths(g, max_len))``, counted: the chains of at
-    most ``max_len`` edges into the sinks."""
+def _edge_walks(g, terminals=None):
+    """The walk system on the edges of ``g``: the edges out of an edge's
+    target may follow it, and a finite walk ends with one of ``terminals``,
+    by default with an edge into a sink, as a finite boundary path does."""
     sing = singular_vertices(g)
-    return sum(ins[v] for ins in _chain_counts(g, max_len) for v in sing)
-
-
-def _lasso_steps(g):
-    """The lasso walker's (starts, arcs) on the edges: an edge's successors
-    are the edges out of its target.  Only edges whose target can reach a
-    cycle lie on an infinite path, so no other edge is walked."""
-    live = _cycle_reachers(g)
-    return (
-        [(e, e.dst) for e in g.edges if e.dst in live],
-        lambda v: [(e, e.dst) for e in g.edges_from(v) if e.dst in live],
-    )
-
-
-def _cycle_reachers(g):
-    """The vertices from which a cycle can be reached: those left after
-    peeling off, again and again, every vertex whose edges all lead to
-    peeled ones (sinks first)."""
-    left = {v: g.out_degree(v) for v in g.vertices}
-    peel = [v for v, n in left.items() if not n]
-    while peel:
-        for e in g.edges_into(peel.pop()):
-            left[e.src] -= 1
-            if not left[e.src]:
-                peel.append(e.src)
-    return {v for v, n in left.items() if n}
-
-
-def _infinite_boundary_paths(g, max_len, max_cycle):
-    """The canonical edge lassos within the bounds, each met once by the
-    transition graph's lasso walker (an edge's successors depend on its
-    target alone)."""
-    lassos = _canonical_lassos(*_lasso_steps(g), max_len, max_cycle)
-    return tuple(sorted(
-        (make_infinite_path(g, prefix, cycle) for prefix, cycle in lassos),
-        key=InfinitePath.sort_key,
-    ))
+    return _Walks([(e, e.dst) for e in g.edges],
+                  lambda v: [(e, e.dst) for e in g.edges_from(v)],
+                  {e for e in g.edges if e.dst in sing} if terminals is None else terminals)
 
 
 def _boundary_counts(g, max_len, max_cycle):
     """The sizes of ``boundary_paths``' finite and infinite lists, counted."""
-    return (_count_finite_boundary_paths(g, max_len),
-            _count_canonical_lassos(*_lasso_steps(g), max_len, max_cycle))
+    finite, lassos, _ = _edge_walks(g).count(max_len, max_cycle)
+    return len(singular_vertices(g)) + finite, lassos
 
 
 def boundary_paths(g, max_len, max_cycle):
@@ -207,11 +137,17 @@ def boundary_paths(g, max_len, max_cycle):
     ``max_len`` and canonical lassos with prefix at most ``max_len`` and cycle
     at most ``max_cycle``.  Past ``LISTING_BUDGET`` points it raises
     ``InputError`` with their exact number instead."""
-    _refuse_past_budget(sum(_boundary_counts(g, max_len, max_cycle)),
+    sing, walks = singular_vertices(g), _edge_walks(g)
+    paths, lassos, steps = walks.count(max_len, max_cycle)
+    _refuse_past_budget(len(sing) + paths + lassos, steps,
                         "the boundary up to length %d and cycle %d" % (max_len, max_cycle))
+    finite = [FinitePath(v, ()) for v in sing]
+    finite += [FinitePath(edges[0].src, edges) for edges in walks.finite(max_len)]
     return BoundaryReport(
-        _finite_boundary_paths(g, max_len),
-        _infinite_boundary_paths(g, max_len, max_cycle),
+        tuple(sorted(finite, key=FinitePath.sort_key)),
+        tuple(sorted((InfinitePath(prefix, cycle)
+                      for prefix, cycle in walks.lassos(max_len, max_cycle)),
+                     key=InfinitePath.sort_key)),
         has_branching_cycles(g.vertices, tuple((e.src, e.label, e.dst) for e in g.edges)),
     )
 
@@ -223,23 +159,13 @@ def _deterministic_cycles(g):
     that edge stays inside, each walked from its least vertex."""
     out = []
     comps = strongly_connected_components(g.vertices, [(e.src, e.label, e.dst) for e in g.edges])
-    for comp in sorted(comps, key=min):
+    for comp, _ in sorted(comps, key=lambda c: min(c[0])):
         if all(g.out_degree(v) == 1 and g.edges_from(v)[0].dst in comp for v in comp):
             trail = [g.edges_from(min(comp))[0]]
             while trail[-1].dst != trail[0].src:
                 trail.append(g.edges_from(trail[-1].dst)[0])
             out.append(tuple(trail))
     return out
-
-
-def _count_isolated_points(g, max_prefix, rotations):
-    """``len(isolated_points(g, max_prefix))``, counted: the finite boundary
-    paths, and the chains of ``max_prefix`` edges into each rotation's head.
-    An isolated infinite path whose canonical prefix fits the bound runs
-    round its deterministic cycle from edge ``max_prefix`` on, so it is, one
-    for one, its first ``max_prefix`` edges and the rotation they end at."""
-    last = deque(_chain_counts(g, max_prefix), maxlen=1).pop()
-    return _count_finite_boundary_paths(g, max_prefix) + sum(last[r[0].src] for r in rotations)
 
 
 def isolated_points(g, max_prefix):
@@ -249,19 +175,27 @@ def isolated_points(g, max_prefix):
     singleton).  An infinite path is isolated exactly when some prefix lands
     in a cone where every reachable vertex has out-degree one, i.e. when its
     cycle is deterministic; representatives are listed with prefixes of
-    length at most ``max_prefix``.  The cycle is simple, so a (chain, rotation)
-    pair is a canonical lasso, built once, exactly when the chain is empty or
-    does not end with the rotation's last edge.  Past ``LISTING_BUDGET``
-    points it raises ``InputError`` with their exact number instead.
+    length at most ``max_prefix``.  A (chain, rotation) pair is a canonical
+    lasso exactly when the chain is empty or enters the cycle from off it,
+    so each point is built once from a walk into a sink or into a cycle from
+    off it, and adds at most a cycle to the steps of its walk.  Past
+    ``LISTING_BUDGET`` points it raises ``InputError`` with their exact
+    number instead.
     """
-    rotations = [c[p:] + c[:p] for c in _deterministic_cycles(g) for p in range(len(c))]
-    _refuse_past_budget(_count_isolated_points(g, max_prefix, rotations),
+    sing = singular_vertices(g)
+    rotation = {c[p].src: c[p:] + c[:p] for c in _deterministic_cycles(g) for p in range(len(c))}
+    walks = _edge_walks(g, {e for e in g.edges if e.dst in sing
+                            or e.dst in rotation and e.src not in rotation})
+    paths, _, steps = walks.count(max_prefix, 0)
+    n = len(sing) + len(rotation) + paths
+    _refuse_past_budget(n, steps + n * max(map(len, rotation.values()), default=0),
                         "the isolated part of the boundary up to prefix %d" % max_prefix)
-    infinite = [
-        make_infinite_path(g, chain, rotated)
-        for rotated in rotations
-        for chain in _backward_chains(g, rotated[0].src, max_prefix)
-        if not chain or chain[-1] != rotated[-1]
-    ]
-    finite = _finite_boundary_paths(g, max_prefix)
-    return finite + tuple(sorted(infinite, key=InfinitePath.sort_key))
+    finite = [FinitePath(v, ()) for v in sing]
+    infinite = [InfinitePath((), r) for r in rotation.values()]
+    for edges in walks.finite(max_prefix):
+        if edges[-1].dst in sing:
+            finite.append(FinitePath(edges[0].src, edges))
+        else:
+            infinite.append(InfinitePath(edges, rotation[edges[-1].dst]))
+    return (tuple(sorted(finite, key=FinitePath.sort_key))
+            + tuple(sorted(infinite, key=InfinitePath.sort_key)))

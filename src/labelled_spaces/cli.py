@@ -25,7 +25,7 @@ from .spectra import (
     refute_tightness,
     tight_spectrum,
 )
-from .transition import UltrafilterTransitionGraph
+from .transition import UltrafilterTransitionGraph, _count_text
 from .util import format_vset, format_word, parse_word
 
 
@@ -171,7 +171,7 @@ def cmd_compare(args, out):
         fam = powerset_family(g)
     counts = _certified_counts(fam, args.max_len, args.max_cycle)
     if counts is not None:
-        out.write(_COUNTS_LINE % counts + "\nbijection: yes\n")
+        out.write(_COUNTS_LINE % tuple(map(_count_text, counts)) + "\nbijection: yes\n")
         return 0
     rep = compare_spectrum_with_boundary(g, args.max_len, args.max_cycle)
     out.write(rep.counts_line() + "\n")

@@ -1,14 +1,13 @@
 """The tight spectrum, its boundary-path description, covers and refutation.
 
 Tight filters are walks through the ultrafilter transition graph, as
-boundary paths are walks through the graph.  The infinite-type ultrafilters
-are its lassos.  The finite-type towers, whose deepest filter is an
-ultrafilter with its generator inside the sinks (a finite graph has no
-infinite emitters), are its walks that end at a sink atom.  A tower's levels
-are read off its walk's nodes, and level 0 off its first item, so no tower
-is derived by a preimage scan.  Both kinds are counted exactly off the same
-graph before they are listed, and a listing past ``LISTING_BUDGET`` points
-is refused.
+boundary paths are walks through the graph, and one walk system lists and
+counts both (``transition._Walks``).  The infinite-type ultrafilters are its
+lassos.  The finite-type towers, whose deepest filter is an ultrafilter with
+its generator inside the sinks (a finite graph has no infinite emitters),
+are its walks that end at a sink atom.  A tower's levels are read off its
+walk, and level 0 off its first item, so no tower is derived by a preimage
+scan.  A listing past ``LISTING_BUDGET`` points is refused.
 
 ``compare`` decides the paper's theorem from a certificate read off the
 transition graph's arcs (``_phi_certified``) and the exact counts of both
@@ -30,12 +29,7 @@ from .filters import (
 )
 from .graph import is_left_resolving, sinks
 from .semigroup import is_idempotent, make_element
-from .transition import (
-    UltrafilterTransitionGraph,
-    UTGNode,
-    _count_canonical_lassos,
-    _refuse_past_budget,
-)
+from .transition import UltrafilterTransitionGraph, UTGNode, _refuse_past_budget
 from .util import format_vset, vkey
 
 
@@ -80,25 +74,17 @@ def tight_spectrum(fam, max_word_len, max_cycle_len):
     The branching flag marks when the transition graph has a component with
     two cycles, so the lasso list undercounts the infinite-type points.
     Past ``LISTING_BUDGET`` points it raises ``InputError`` with their exact
-    number instead.  The finite-type towers are the walks that
-    ``_spectrum_counts`` counts, and the family atoms inside the sinks.
+    number instead.
     """
-    graph = UltrafilterTransitionGraph(fam)
-    _refuse_past_budget(
-        sum(_spectrum_counts(graph, max_word_len, max_cycle_len)),
-        "the tight spectrum up to word length %d and cycle %d" % (max_word_len, max_cycle_len),
-    )
-    sink = sinks(fam.graph)
+    graph, sink = UltrafilterTransitionGraph(fam), sinks(fam.graph)
     finite = [FiniteFilterFamily(fam, (), (a,)) for a in fam.report.atoms if a <= sink]
+    walks, lassos, steps = graph._walks.count(max_word_len, max_cycle_len)
+    what = "the tight spectrum up to word length %d and cycle %d" % (max_word_len, max_cycle_len)
+    _refuse_past_budget(len(finite) + walks + lassos, steps, what)
     level0 = graph._level0()
-    stack = [((item,), node) for item, node in graph._lasso_steps()[0]] if max_word_len else []
-    while stack:
-        walk, node = stack.pop()
-        if node.atom <= sink:
-            finite.append(FiniteFilterFamily(fam, tuple(b for b, _ in walk),
-                                             (level0.get(walk[0]),) + tuple(a for _, a in walk)))
-        if len(walk) < max_word_len:
-            stack.extend((walk + ((b, dst.atom),), dst) for b, dst in graph.successors(node))
+    finite += [FiniteFilterFamily(fam, tuple(b for b, _ in walk),
+                                  (level0.get(walk[0]),) + tuple(a for _, a in walk))
+               for walk in graph._walks.finite(max_word_len)]
     return TightSpectrum(
         tuple(sorted(finite, key=FiniteFilterFamily.sort_key)),
         graph.lassos(max_word_len, max_cycle_len),
@@ -108,28 +94,12 @@ def tight_spectrum(fam, max_word_len, max_cycle_len):
 
 def _spectrum_counts(graph, max_word_len, max_cycle_len):
     """The sizes of ``tight_spectrum``'s finite and infinite lists, counted
-    off its transition graph.
-
-    A finite-type point is a word with a sink atom of its algebra.  For the
-    empty word these are the family's atoms inside the sinks.  For a word of
-    k letters, weak left resolution gives each atom of the algebra one
-    atom at each level below, so the pairs are the walks of k nodes that
-    enter the graph with a letter and end at a node whose atom lies inside
-    the sinks.  The infinite-type points are the lassos of ``graph.lassos``.
-    """
-    starts, arcs = graph._lasso_steps()
+    off the graph's walk system.  A finite-type point is a word with a sink
+    atom of its algebra: a walk into a sink atom, or for the empty word one
+    of the family's atoms inside the sinks."""
     sink = sinks(graph.fam.graph)
-    finite = sum(1 for a in graph.fam.report.atoms if a <= sink)
-    walks = dict.fromkeys(graph.nodes, 0)
-    for _, node in starts:
-        walks[node] += 1
-    for _ in range(max_word_len):
-        finite += sum(n for node, n in walks.items() if node.atom <= sink)
-        step = dict.fromkeys(graph.nodes, 0)
-        for src, _, dst in graph.edges:
-            step[dst] += walks[src]
-        walks = step
-    return finite, _count_canonical_lassos(starts, arcs, max_word_len, max_cycle_len)
+    finite, lassos, _ = graph._walks.count(max_word_len, max_cycle_len)
+    return sum(1 for a in graph.fam.report.atoms if a <= sink) + finite, lassos
 
 
 def _require_phi_hypotheses(fam):
@@ -160,7 +130,7 @@ def boundary_to_filter(fam, path):
     raise DomainError("expected a boundary path, got %r" % (path,))
 
 
-_COUNTS_LINE = "boundary: %d finite + %d infinite | spectrum: %d finite + %d infinite"
+_COUNTS_LINE = "boundary: %s finite + %s infinite | spectrum: %s finite + %s infinite"
 
 
 class PhiReport(namedtuple("PhiReport", "bijective boundary spectrum unmatched_boundary "
@@ -209,17 +179,17 @@ def _phi_certified(graph):
     space is its edge graph under Phi, checked in one pass over the nodes:
 
     - the nodes that letter b enters are exactly the singletons of r(b), so
-      the walker's start items are the images (label(e), {dst(e)}) of the
+      the walk system's start items are the images (label(e), {dst(e)}) of the
       edges e;
     - (R, {u}) -b-> (r(R, b), {v}) is an arc exactly when u -b-> v is an edge.
 
     Then e |-> (label(e), {dst(e)}) is one to one (left resolution) and
-    carries the boundary lasso walker's starts and arcs onto the transition
-    graph's, so Phi matches the canonical boundary lassos with the
-    infinite-type tight filters one for one, at every bound.
+    carries the boundary's walk system onto the transition graph's, so Phi
+    matches the boundary with the tight spectrum one for one, at every
+    bound.
     """
     g = graph.fam.graph
-    entered = {item for item, _ in graph._lasso_steps()[0]}
+    entered = {item for item, _ in graph._entries()}
     if entered != {(e.label, frozenset((e.dst,))) for e in g.edges}:
         return False
     ranges = {}
@@ -244,8 +214,7 @@ def _certified_counts(fam, max_len, max_cycle):
     holds and both sides count alike, so that Phi is a bijection between the
     bounded boundary and the bounded tight spectrum of the powerset space
     ``fam``; None otherwise, when only the listing can name the unmatched
-    points.  The boundary is counted off the edges and sinks, the spectrum
-    off the transition graph's items and sink atoms."""
+    points.  Each side is counted off its own walk system."""
     _require_phi_hypotheses(fam)
     graph = UltrafilterTransitionGraph(fam)
     if not _phi_certified(graph):

@@ -1,4 +1,5 @@
-"""The finite transition graph certifying all infinite-type ultrafilters.
+"""The finite transition graph certifying all infinite-type ultrafilters,
+and the walk system (``_Walks``) listing its walks and the boundary paths.
 
 Nodes pair a reachable range set R with an atom A of the algebra below R,
 and (R, A) -b-> (r(R, b), A') is an arc exactly when A' <= r(A, b): R is the
@@ -6,18 +7,19 @@ disjoint union of its atoms and, by weak left resolvability, r keeps them
 disjoint, so up(A) is the preimage of up(A') under r(., b) for exactly one A.
 Infinite directed paths through the graph, entered with a letter whose range
 matches the first node, are exactly the towers whose levels are all
-ultrafilters, i.e. the infinite-type ultrafilters.
-
-Requires the family to be closed under relative complements; for other
-families the maximal-family search over finite words is the supported route.
+ultrafilters, i.e. the infinite-type ultrafilters.  Requires the family to
+be closed under relative complements; for other families the maximal-family
+search over finite words is the supported route.
 """
 
 from collections import Counter, namedtuple
+from functools import cached_property
 from itertools import accumulate
+from math import inf
 
 from .errors import InputError
 from .filters import LassoFilterFamily
-from .graph import range_of
+from .graph import range_of, sinks
 from .util import format_vset, vkey
 
 
@@ -74,11 +76,6 @@ class UltrafilterTransitionGraph:
     def predecessors(self, node):
         return tuple(self._pred.get(node, ()))
 
-    def entry_letters(self, node):
-        """Letters that may start a word at this node: their range is the
-        node's range set."""
-        return tuple(b for b, r in self._first.items() if r == node.range_set)
-
     def has_branching_cycles(self):
         """True when some strongly connected component carries two distinct
         cycles; then the infinite paths are not all eventually periodic and
@@ -89,13 +86,9 @@ class UltrafilterTransitionGraph:
         """All infinite-type ultrafilter towers whose canonical lasso fits the
         bounds: prefix length <= max_prefix, cycle length <= max_cycle.
 
-        The level data of a tower is its (letter, atom) sequence, read off a
-        walk that enters the graph with a letter whose range is the first
-        node's range set.  By the arc rule (module docstring) the arcs out
-        of a node depend on its atom alone, as the lasso walker needs.  Each
-        canonical lasso within the bounds comes from one walk, so a tower is
-        built only for the lassos returned and the cost follows the output;
-        level 0 is read off the walk's first item (``_level0``).
+        A tower's level data is its (letter, atom) sequence, a lasso of the
+        graph's walk system (``_walks``), and level 0 is read off its first
+        item (``_level0``): a tower is built only for each lasso returned.
         """
         level0 = self._level0()
         return tuple(sorted(
@@ -108,7 +101,7 @@ class UltrafilterTransitionGraph:
                     tuple(a for _, a in cycle),
                     f0_gen=level0.get((prefix or cycle)[0]),
                 )
-                for prefix, cycle in _canonical_lassos(*self._lasso_steps(), max_prefix, max_cycle)
+                for prefix, cycle in self._walks.lassos(max_prefix, max_cycle)
             ),
             key=LassoFilterFamily.sort_key,
         ))
@@ -125,15 +118,19 @@ class UltrafilterTransitionGraph:
                 level0.update(((b, n.atom), a) for n in self._over.get(r, ()) if n.atom <= reach)
         return level0
 
-    def _lasso_steps(self):
-        """The walker's (starts, arcs): steps are (letter, atom) items, and a
-        walk enters with a letter whose range is the first node's range set."""
-        starts = [((b, n.atom), n) for b, r in self._first.items() for n in self._over.get(r, ())]
+    def _entries(self):
+        """The (letter, atom) items a tower enters with, each with its node:
+        a word enters with a letter whose range is the node's range set."""
+        return [((b, n.atom), n) for b, r in self._first.items() for n in self._over.get(r, ())]
 
-        def arcs(node):
-            return [((b, dst.atom), dst) for b, dst in self.successors(node)]
-
-        return starts, arcs
+    @cached_property
+    def _walks(self):
+        """The walk system of the towers: (letter, atom) items, whose followers
+        depend on the atom alone (arc rule), ending finite towers in the sinks."""
+        sink = sinks(self.fam.graph)
+        return _Walks(self._entries(),
+                      lambda node: [((b, dst.atom), dst) for b, dst in self.successors(node)],
+                      {(b, n.atom) for n in self.nodes if n.atom <= sink for b in self._first})
 
     def format_listing(self):
         lines = ["nodes:"]
@@ -157,7 +154,8 @@ def strongly_connected_components(nodes, edges):
     """Kosaraju's algorithm over explicit node/edge lists: a depth-first
     search lists the nodes as it finishes them, and each node taken in the
     reverse of that order, if not yet placed, collects the unplaced nodes
-    that reach it into one component."""
+    that reach it into one component, listed with its internal edge count:
+    sources first, so no edge leads to an earlier component."""
     succ, pred = {}, {}
     for src, _, dst in edges:
         succ.setdefault(src, []).append(dst)
@@ -183,139 +181,223 @@ def strongly_connected_components(nodes, edges):
         if root in placed:
             continue
         placed.add(root)
-        comp, todo = {root}, [root]
+        comp, todo, internal = {root}, [root], 0
         while todo:
             for w in pred.get(todo.pop(), ()):
                 if w not in placed:
                     placed.add(w)
                     comp.add(w)
                     todo.append(w)
-        out.append(comp)
+                internal += w in comp
+        out.append((comp, internal))
     return out
 
 
 def has_branching_cycles(nodes, edges):
     """Whether some strongly connected component has more internal edges
     than nodes, i.e. carries two distinct cycles."""
-    comps = strongly_connected_components(nodes, edges)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    internal = [0] * len(comps)
-    for src, _, dst in edges:
-        if comp_of[src] == comp_of[dst]:
-            internal[comp_of[src]] += 1
-    return any(k > len(comp) for k, comp in zip(internal, comps))
+    return any(k > len(comp) for comp, k in strongly_connected_components(nodes, edges))
 
 
-def _canonical_lassos(starts, arcs, max_prefix, max_cycle):
-    """Every canonical lasso (prefix, cycle) of labels within the bounds
-    that a walk can follow forever, each exactly once.
-
-    ``starts`` are the first (label, state) steps of a walk and
-    ``arcs(state)`` the steps that may follow.  Which labels may follow a
-    step must depend on its label alone; then a walk can repeat its last c
-    labels forever exactly when the first of them may follow its last step.
-    Walks of up to max_prefix + max_cycle steps grow on an explicit stack,
-    and each is split every way into a prefix and a primitive cycle whose
-    last label differs from the prefix's, which is the canonical form.  A
-    canonical lasso is the first |prefix| + |cycle| labels of its path, so
-    it comes from exactly one (walk, split): nothing is deduplicated or
-    filtered afterwards.
+class _Walks:
+    """The walk system behind the boundary, its isolated points and the tight
+    spectrum: ``starts`` are the (label, state) steps a walk may begin with,
+    ``arcs(state)`` the steps that may follow a step into ``state``, and
+    ``terminals`` the labels a finite walk may end with.  Which labels may
+    follow a step must depend on its label alone, so a walk is its label
+    sequence.  ``arcs`` is called once per state, only when an answer needs
+    it.  A listing grows one shared path depth first, builds a tuple only for
+    a walk it outputs, prunes by the steps left, and counts the walks it
+    meets in ``explored``.
     """
-    stack = [(s,) for s in starts]
-    while stack:
-        walk = stack.pop()
-        steps = arcs(walk[-1][1])
-        follow = [label for label, _ in steps]
-        labels = tuple(label for label, _ in walk)
-        n = len(walk)
-        for p in range(max(0, n - max_cycle), min(max_prefix, n - 1) + 1):
-            cycle = labels[p:]
-            if cycle[0] not in follow or (p and labels[p - 1] == cycle[-1]):
+
+    def __init__(self, starts, arcs, terminals):
+        self._steps, self._arcs, self._terminals = starts, arcs, terminals
+        self.explored = 0
+
+    @cached_property
+    def _graph(self):
+        """(labels, after, starts): the reachable labels, each one's
+        followers and the start labels, as label numbers."""
+        state_of, out = {}, {}
+        queue = list(self._steps)
+        for label, state in queue:  # the queue grows as states are met
+            if label not in state_of:
+                state_of[label] = state
+                if state not in out:
+                    out[state] = self._arcs(state)
+                    queue.extend(out[state])
+        number = {label: x for x, label in enumerate(state_of)}
+        after = [tuple(number[y] for y, _ in out[state]) for state in state_of.values()]
+        return list(state_of), after, [number[label] for label, _ in self._steps]
+
+    @cached_property
+    def _loops(self):
+        """(live, inner, bound, longest, period) for the lassos: ``live[x]``
+        holds the followers of x that can reach a cycle, or is None.  A label
+        x on a cycle has the arcs ``inner[x]`` of its strongly connected
+        component and ``bound[x]``, the longest primitive cycle through x:
+        the component's size when it carries one cycle, else None, and at
+        most ``longest``.  ``period[x]`` is that size when the component is
+        the cycle of a forced cone, where every label has one live follower."""
+        after = self._graph[1]
+        live, inner, bound, period = [None] * len(after), {}, {}, {}
+        for c, arcs in reversed(strongly_connected_components(  # sinks first
+                range(len(after)), [(x, None, y) for x, ys in enumerate(after) for y in ys])):
+            rows = arcs and {x: dict.fromkeys((y for y in after[x] if y in c), 1) for x in c}
+            for x in c:
+                live[x] = tuple(y for y in after[x] if rows and y in c or live[y]) or None
+                if rows:
+                    inner[x], bound[x] = rows, (len(c) if arcs == len(c) else None)
+            if rows and all(len(live[x]) == 1 for x in c):
+                period.update(dict.fromkeys(c, len(c)))
+        # the one clamp of the cycle bound: when no component carries two
+        # cycles, no primitive cycle is longer than the largest component
+        longest = inf if None in bound.values() else max(bound.values(), default=0)
+        return live, inner, bound, longest, period
+
+    def _grow(self, roots, grow):
+        """Each walk from ``roots``, met depth first as one shared path list
+        that the caller reads before it grows by the labels ``grow(path)``."""
+        path, stack = [], [iter(roots)]
+        while stack:
+            del path[len(stack) - 1:]  # one label per grown iterator
+            x = next(stack[-1], None)
+            if x is None:
+                stack.pop()
                 continue
-            if not any(cycle == cycle[:d] * (len(cycle) // d)
-                       for d in range(1, len(cycle)) if len(cycle) % d == 0):
-                yield labels[:p], cycle
-        if n < max_prefix + max_cycle:
-            stack.extend(walk + (step,) for step in steps)
+            path.append(x)
+            self.explored += 1
+            yield path
+            stack.append(iter(grow(path)))
+
+    def finite(self, max_len):
+        """Every walk of 1 to ``max_len`` labels from a start to a terminal
+        label, each once: a walk grows only toward a terminal label within
+        reach."""
+        if not self._terminals:
+            return
+        labels, after, starts = self._graph
+        # each label's least number of further steps to a terminal label,
+        # exact below max_len: no walk needs one farther
+        dist = [0 if label in self._terminals else inf for label in labels]
+        for _ in range(min(max_len, len(labels))):
+            dist = [min([d] + [dist[y] + 1 for y in ys]) for d, ys in zip(dist, after)]
+
+        def grow(path):
+            return [y for y in after[path[-1]] if dist[y] < max_len - len(path)]
+
+        for path in self._grow([x for x in starts if dist[x] < max_len], grow):
+            if not dist[path[-1]]:
+                yield tuple(map(labels.__getitem__, path))
+
+    def lassos(self, max_prefix, max_cycle):
+        """Every canonical lasso (prefix, cycle) of labels within the bounds
+        that a walk can follow forever, each exactly once.
+
+        Walks of up to max_prefix + max_cycle labels grow through labels that
+        can reach a cycle, and each is split every way into a prefix and a
+        primitive cycle whose first label may follow its last and whose last
+        label differs from the prefix's: the canonical form, which comes from
+        exactly one (walk, split).  A walk in a forced cone grows no further
+        once it has gone round its cycle: no later split is canonical.
+        """
+        max_cycle = max_cycle and min(max_cycle, self._loops[3])
+        if not max_cycle:
+            return
+        labels, _, starts = self._graph
+        live, inner, bound, _, period = self._loops
+        depth = max_prefix + max_cycle
+
+        def grow(path):
+            n, x = len(path), path[-1]
+            r = period.get(x)
+            if n == depth or r and n >= r and path[n - r] == live[x][0]:
+                return ()
+            if n == depth - 1:
+                # its one split will start the cycle at label max_prefix + 1
+                return [y for y in live[x] if (path[max_prefix] if max_prefix < n else y) in live[y]]
+            if n > max_prefix:  # the cycle holds label max_prefix + 1: stay in its component,
+                z = path[max_prefix]  # and go round it once when it carries one cycle
+                return [y for y in live[x] if y in inner.get(z, ())] if n < max_prefix + (
+                    bound.get(z) or depth) else ()
+            return live[x]
+
+        label = labels.__getitem__
+        for path in self._grow([x for x in starts if live[x]], grow):
+            n, x = len(path), path[-1]
+            for p in range(max(0, n - max_cycle), min(max_prefix, n - 1) + 1):
+                # a primitive cycle has no period d < n - p that divides n - p
+                if path[p] in live[x] and (not p or path[p - 1] != x) and not any(
+                        path[p + d:] == path[p:n - d] for d in range(1, n - p) if (n - p) % d == 0):
+                    yield tuple(map(label, path[:p])), tuple(map(label, path[p:]))
+
+    def count(self, max_len, max_cycle):
+        """(finite walks, lassos, steps) of ``finite(max_len)`` and
+        ``lassos(max_len, max_cycle)``, counted up to ``_COUNT_CAP``: steps
+        bounds their labels, exactly for the finite walks.
+
+        Walks carried max_len steps gather at one index as they reach a
+        terminal label, and a second index sums the first.  A lasso is, one
+        for one, a walk of max_len + 1 labels, ending at some x, and a
+        primitive closed walk of at most c = max_cycle labels from x: by
+        Möbius inversion (the periodic-point counts of Lind & Marcus, *An
+        Introduction to Symbolic Dynamics and Coding*, 1995), x adds in(x) *
+        sum over d <= c of M(c // d) * closed_d(x), with in(x) the walks
+        ending at x, closed_d(x) the closed walks of d labels from x and M
+        the Mertens function.  Counting stops once in(x) * closed_d(x),
+        which is at most the count, reaches the cap.
+        """
+        max_cycle = max_cycle and min(max_cycle, self._loops[3])
+        if not (self._terminals or max_cycle):
+            return 0, 0, 0
+        labels, after, starts = self._graph
+        done, summed = len(labels), len(labels) + 1
+        rows = [dict.fromkeys(ys + (done,) * (label in self._terminals), 1)
+                for label, ys in zip(labels, after)] + [{done: 1, summed: 1}, {summed: 1}]
+        ends = _advance(Counter(starts), rows, max_len)
+        finite = ends.pop(done, 0)
+        steps = max_len * finite - ends.pop(summed, 0)
+        inner, bound = self._loops[1:3] if max_cycle else ({}, {})
+        lassos = 0
+        for x, n in ends.items():
+            if not n or x not in inner:
+                continue
+            top = min(max_cycle, bound[x] or max_cycle)
+            walks, closed = {x: 1}, []
+            for _ in range(top):
+                walks = _times(walks, inner[x])
+                closed.append(walks.get(x, 0))
+                if n * closed[-1] >= _COUNT_CAP:
+                    return finite, _COUNT_CAP, steps
+            mertens = _mertens(top)
+            lassos += n * sum(mertens[top // d] * k for d, k in enumerate(closed, 1))
+        lassos = min(lassos, _COUNT_CAP)
+        return finite, lassos, steps + lassos * (max_len + max_cycle)
 
 
-def _count_canonical_lassos(starts, arcs, max_prefix, max_cycle):
-    """The number of lassos ``_canonical_lassos(starts, arcs, max_prefix,
-    max_cycle)`` yields, counted without listing them.
-
-    A canonical lasso within the bounds is an infinite walk that repeats a
-    primitive cycle from step max_prefix + 1 on.  So it is, one for one, a
-    walk of max_prefix + 1 labels, ending at some label x, followed by a
-    primitive closed walk of at most max_cycle labels from x.  Möbius
-    inversion over the divisors of a length c turns the closed walks of
-    length d | c into the primitive ones (the periodic-point counts of Lind &
-    Marcus, *An Introduction to Symbolic Dynamics and Coding*, 1995), so
-    the count is the sum over x and d <= max_cycle of
-    in(x) * M(max_cycle // d) * #{closed walks of d labels from x}, with
-    in(x) the walks of max_prefix + 1 labels ending at x and M the Mertens
-    function.  Labels with the same followers are walked as one group, and
-    closed walks stay inside a strongly connected component of the groups:
-    O(|groups| * |arcs| * max_cycle) exact integer steps.
-    """
-    kind, follow = _label_groups(starts, arcs)
-    # in(x): the walks of max_prefix + 1 labels from a start that end at x
-    ends = Counter(label for label, _ in starts)
-    for _ in range(max_prefix):
-        by_group = Counter()
-        for label, n in ends.items():
-            by_group[kind[label]] += n
-        ends = Counter()
-        for k, n in by_group.items():
-            for label in follow[k]:
-                ends[label] += n
-    comp = {
-        k: i for i, c in enumerate(strongly_connected_components(
-            range(len(follow)), [(k, None, kind[y]) for k, ys in enumerate(follow) for y in ys]))
-        for k in c
-    }
-    # the groups one step from each group inside its component, and for the
-    # closing step the walks ending at each label x: weight[kind x][k] sums
-    # in(x) over the labels x that may follow group k
-    inside = [Counter(kind[y] for y in ys if comp[kind[y]] == comp[k])
-              for k, ys in enumerate(follow)]
-    weight = [Counter() for _ in follow]
-    for k, ys in enumerate(follow):
-        for y in ys:
-            if ends[y] and comp[kind[y]] == comp[k]:
-                weight[kind[y]][k] += ends[y]
-    mertens = _mertens(max_cycle)
-    total = 0
-    for k, closing in enumerate(weight):
-        if not closing:
-            continue
-        walks = {k: 1}
-        for d in range(1, max_cycle + 1):
-            total += mertens[max_cycle // d] * sum(n * closing[j] for j, n in walks.items())
-            step = Counter()
-            for j, n in walks.items():
-                for i, m in inside[j].items():
-                    step[i] += n * m
-            walks = step
-    return total
+def _advance(vec, rows, n):
+    """``vec`` carried ``n`` steps along the arc matrix ``rows``, both dicts
+    of nonzero entries: step by step while n is at most the square of the
+    number of rows, else by squaring, so n = 10^6 costs forty products."""
+    if n <= len(rows) ** 2:
+        for _ in range(n):
+            vec = _times(vec, rows)
+        return vec
+    while n:
+        vec = _times(vec, rows) if n & 1 else vec
+        n >>= 1
+        rows = [_times(row, rows) for row in rows]
+    return vec
 
 
-def _label_groups(starts, arcs):
-    """The labels a walk from ``starts`` can reach, grouped by the labels that
-    may follow them: ``kind[label]`` is a group and ``follow[group]`` the
-    labels that may follow it."""
-    kind, follow, groups = {}, [], {}
-    todo = list(starts)
-    while todo:
-        label, state = todo.pop()
-        if label in kind:
-            continue
-        steps = arcs(state)
-        labels = tuple(x for x, _ in steps)
-        kind[label] = groups.setdefault(frozenset(labels), len(follow))
-        if kind[label] == len(follow):
-            follow.append(labels)
-        todo.extend(steps)
-    return kind, follow
+def _times(vec, rows):
+    """The vector ``vec`` times the matrix ``rows``, saturating."""
+    out = {}
+    for i, w in vec.items():
+        for j, m in rows[i].items():
+            out[j] = min(out.get(j, 0) + w * m, _COUNT_CAP)
+    return out
 
 
 def _mertens(n):
@@ -327,15 +409,29 @@ def _mertens(n):
     return list(accumulate(mu[:n + 1]))
 
 
-# the most points ``boundary_paths``, ``isolated_points`` or
-# ``tight_spectrum`` lists; past it they refuse, with the exact count, before
-# listing any
+# the most points ``boundary_paths``, ``isolated_points`` or ``tight_spectrum``
+# lists, and the most steps (edges or letters) the points may hold
 LISTING_BUDGET = 100_000
+_STEP_BUDGET = 3 * 10 ** 6
+
+# counts are exact below 10^640 and stop there: Python prints every integer
+# of at most 640 digits, whatever its digit limit
+_COUNT_CAP = 10 ** 640
 
 
-def _refuse_past_budget(count, what):
-    if count > LISTING_BUDGET:
-        raise InputError("%s has %d points; at most %d are listed" % (what, count, LISTING_BUDGET))
+def _count_text(n):
+    """A count as printed: exact below ``_COUNT_CAP``, where counting stops."""
+    return "at least 10^640" if n >= _COUNT_CAP else "%d" % n
+
+
+def _refuse_past_budget(n, steps, what):
+    """Refuse ``n`` points past ``LISTING_BUDGET``, or ``steps`` past ``_STEP_BUDGET``."""
+    if n > LISTING_BUDGET:
+        raise InputError("%s has %s points; at most %d are listed"
+                         % (what, _count_text(n), LISTING_BUDGET))
+    if steps > _STEP_BUDGET:
+        raise InputError("%s has %d points of up to %d steps in all; at most %d steps are listed"
+                         % (what, n, steps, _STEP_BUDGET))
 
 
 def ultrafilter_transition_graph(fam):

@@ -264,7 +264,7 @@ def widened_lassos(utg, max_prefix, max_cycle, cap=None):
             for b, prev in utg.predecessors(head):
                 if b != need:
                     continue
-                for first in utg.entry_letters(prev):
+                for first in (b for b, r in utg._first.items() if r == prev.range_set):
                     results.append([(first, prev)] + chain)
                 if len(chain) + 1 < bound:
                     for b2, _ in utg.predecessors(prev):
@@ -541,20 +541,14 @@ def isolated_points_by_dedup(g, max_prefix):
     only canonical (chain, rotation) pairs: it builds a path for every pair
     and drops repeats and over-long prefixes afterwards.  Its cycles come
     from ``deterministic_cycles_by_trail``."""
-    from labelled_spaces.boundary import (
-        FinitePath,
-        InfinitePath,
-        _backward_chains,
-        _finite_boundary_paths,
-        make_infinite_path,
-    )
+    from labelled_spaces.boundary import FinitePath, InfinitePath, make_infinite_path
 
-    finite = _finite_boundary_paths(g, max_prefix)
+    finite = finite_boundary_paths_backward(g, max_prefix)
     infinite = {}
     for cycle in deterministic_cycles_by_trail(g):
         for phase in range(len(cycle)):
             rotated = cycle[phase:] + cycle[:phase]
-            for chain in _backward_chains(g, rotated[0].src, max_prefix):
+            for chain in backward_chains(g, rotated[0].src, max_prefix):
                 path = make_infinite_path(g, chain, rotated)
                 if len(path.prefix) <= max_prefix:
                     infinite.setdefault((path.prefix, path.cycle), path)
@@ -635,3 +629,228 @@ def finite_towers_by_words(fam, max_word_len):
         if flt.gen <= sink
     ]
     return tuple(sorted(towers, key=FiniteFilterFamily.sort_key))
+
+
+# The walkers that the walk system of ``labelled_spaces.transition._Walks``
+# replaced, kept as they were: the lasso walker and its counter over
+# (starts, arcs), their (starts, arcs) on the edges and on the transition
+# graph, the backward chains into sinks and their counts, and the finite
+# tower walk and count of ``tight_spectrum``.
+
+
+def canonical_lassos(starts, arcs, max_prefix, max_cycle):
+    """Every canonical lasso (prefix, cycle) of labels within the bounds
+    that a walk can follow forever, each exactly once: walks of up to
+    max_prefix + max_cycle steps grow on an explicit stack, and each is
+    split every way into a prefix and a primitive cycle whose last label
+    differs from the prefix's.  Which labels may follow a step must depend
+    on its label alone."""
+    stack = [(s,) for s in starts]
+    while stack:
+        walk = stack.pop()
+        steps = arcs(walk[-1][1])
+        follow = [label for label, _ in steps]
+        labels = tuple(label for label, _ in walk)
+        n = len(walk)
+        for p in range(max(0, n - max_cycle), min(max_prefix, n - 1) + 1):
+            cycle = labels[p:]
+            if cycle[0] not in follow or (p and labels[p - 1] == cycle[-1]):
+                continue
+            if not any(cycle == cycle[:d] * (len(cycle) // d)
+                       for d in range(1, len(cycle)) if len(cycle) % d == 0):
+                yield labels[:p], cycle
+        if n < max_prefix + max_cycle:
+            stack.extend(walk + (step,) for step in steps)
+
+
+def count_canonical_lassos(starts, arcs, max_prefix, max_cycle):
+    """The number of lassos ``canonical_lassos`` yields, by Möbius inversion
+    over closed walks of label groups (labels with the same followers):
+    the sum over x and d <= max_cycle of in(x) * M(max_cycle // d) *
+    #{closed walks of d labels from x}, with in(x) the walks of
+    max_prefix + 1 labels ending at x and M the Mertens function."""
+    from collections import Counter
+
+    from labelled_spaces.transition import _mertens, strongly_connected_components
+
+    kind, follow = label_groups(starts, arcs)
+    ends = Counter(label for label, _ in starts)
+    for _ in range(max_prefix):
+        by_group = Counter()
+        for label, n in ends.items():
+            by_group[kind[label]] += n
+        ends = Counter()
+        for k, n in by_group.items():
+            for label in follow[k]:
+                ends[label] += n
+    comp = {
+        k: i for i, (c, _) in enumerate(strongly_connected_components(
+            range(len(follow)), [(k, None, kind[y]) for k, ys in enumerate(follow) for y in ys]))
+        for k in c
+    }
+    inside = [Counter(kind[y] for y in ys if comp[kind[y]] == comp[k])
+              for k, ys in enumerate(follow)]
+    weight = [Counter() for _ in follow]
+    for k, ys in enumerate(follow):
+        for y in ys:
+            if ends[y] and comp[kind[y]] == comp[k]:
+                weight[kind[y]][k] += ends[y]
+    mertens = _mertens(max_cycle)
+    total = 0
+    for k, closing in enumerate(weight):
+        if not closing:
+            continue
+        walks = {k: 1}
+        for d in range(1, max_cycle + 1):
+            total += mertens[max_cycle // d] * sum(n * closing[j] for j, n in walks.items())
+            step = Counter()
+            for j, n in walks.items():
+                for i, m in inside[j].items():
+                    step[i] += n * m
+            walks = step
+    return total
+
+
+def label_groups(starts, arcs):
+    """The labels a walk from ``starts`` can reach, grouped by the labels that
+    may follow them: ``kind[label]`` is a group and ``follow[group]`` the
+    labels that may follow it."""
+    kind, follow, groups = {}, [], {}
+    todo = list(starts)
+    while todo:
+        label, state = todo.pop()
+        if label in kind:
+            continue
+        steps = arcs(state)
+        labels = tuple(x for x, _ in steps)
+        kind[label] = groups.setdefault(frozenset(labels), len(follow))
+        if kind[label] == len(follow):
+            follow.append(labels)
+        todo.extend(steps)
+    return kind, follow
+
+
+def edge_lasso_steps(g):
+    """The lasso walker's (starts, arcs) on the edges: an edge's successors
+    are the edges out of its target, and only edges whose target can reach
+    a cycle (``cycle_reachers``) are walked."""
+    live = cycle_reachers(g)
+    return (
+        [(e, e.dst) for e in g.edges if e.dst in live],
+        lambda v: [(e, e.dst) for e in g.edges_from(v) if e.dst in live],
+    )
+
+
+def cycle_reachers(g):
+    """The vertices from which a cycle can be reached: those left after
+    peeling off, again and again, every vertex whose edges all lead to
+    peeled ones (sinks first)."""
+    left = {v: g.out_degree(v) for v in g.vertices}
+    peel = [v for v, n in left.items() if not n]
+    while peel:
+        for e in g.edges_into(peel.pop()):
+            left[e.src] -= 1
+            if not left[e.src]:
+                peel.append(e.src)
+    return {v for v, n in left.items() if n}
+
+
+def transition_lasso_steps(utg):
+    """The lasso walker's (starts, arcs) on a transition graph: steps are
+    (letter, atom) items, and a walk enters with a letter whose range is
+    the first node's range set."""
+    starts = [((b, n.atom), n) for b, r in utg._first.items() for n in utg._over.get(r, ())]
+
+    def arcs(node):
+        return [((b, dst.atom), dst) for b, dst in utg.successors(node)]
+
+    return starts, arcs
+
+
+def backward_chains(g, head, max_len):
+    """Every edge chain of length at most ``max_len`` that ends at ``head``,
+    shortest first, starting with the empty chain."""
+    chains = [()]
+    yield ()
+    for _ in range(max_len):
+        chains = [(e,) + c for c in chains for e in g.edges_into(c[0].src if c else head)]
+        yield from chains
+
+
+def finite_boundary_paths_backward(g, max_len):
+    """The finite boundary paths of at most ``max_len`` edges: each sink and
+    each edge chain grown backwards into it."""
+    from labelled_spaces.boundary import FinitePath
+    from labelled_spaces.graph import singular_vertices
+
+    return tuple(sorted(
+        (FinitePath(chain[0].src if chain else s, chain)
+         for s in singular_vertices(g) for chain in backward_chains(g, s, max_len)),
+        key=FinitePath.sort_key,
+    ))
+
+
+def chain_counts(g, max_len):
+    """Yields in_0, ..., in_max_len: in_k[v] counts the chains of k edges
+    that end at v."""
+    ins = dict.fromkeys(g.vertices, 1)
+    yield ins
+    for _ in range(max_len):
+        ins = {v: sum(ins[e.src] for e in g.edges_into(v)) for v in g.vertices}
+        yield ins
+
+
+def count_finite_boundary_paths(g, max_len):
+    """The chains of at most ``max_len`` edges into the sinks, counted."""
+    from labelled_spaces.graph import singular_vertices
+
+    sing = singular_vertices(g)
+    return sum(ins[v] for ins in chain_counts(g, max_len) for v in sing)
+
+
+def count_isolated_points(g, max_prefix):
+    """``len(isolated_points(g, max_prefix))``, counted: the finite boundary
+    paths, and the chains of exactly ``max_prefix`` edges into each
+    rotation's head."""
+    from collections import deque
+
+    from labelled_spaces.boundary import _deterministic_cycles
+
+    last = deque(chain_counts(g, max_prefix), maxlen=1).pop()
+    return count_finite_boundary_paths(g, max_prefix) + sum(
+        last[c[p].src] for c in _deterministic_cycles(g) for p in range(len(c)))
+
+
+def finite_tower_walks(utg, max_word_len):
+    """The (letter, atom) walks of ``tight_spectrum``'s finite-type towers as
+    its stack walked them: every walk of 1 to ``max_word_len`` nodes from
+    the entry items, kept when it ends at a node whose atom lies inside the
+    sinks."""
+    from labelled_spaces.graph import sinks
+
+    sink = sinks(utg.fam.graph)
+    stack = [((item,), node) for item, node in transition_lasso_steps(utg)[0]] if max_word_len else []
+    while stack:
+        walk, node = stack.pop()
+        if node.atom <= sink:
+            yield walk
+        if len(walk) < max_word_len:
+            stack.extend((walk + ((b, dst.atom),), dst) for b, dst in utg.successors(node))
+
+
+def count_finite_tower_walks(utg, max_word_len):
+    """The walks ``finite_tower_walks`` yields, counted node by node."""
+    from labelled_spaces.graph import sinks
+
+    sink = sinks(utg.fam.graph)
+    walks = dict.fromkeys(utg.nodes, 0)
+    for _, node in transition_lasso_steps(utg)[0]:
+        walks[node] += 1
+    finite = 0
+    for _ in range(max_word_len):
+        finite += sum(n for node, n in walks.items() if node.atom <= sink)
+        step = dict.fromkeys(utg.nodes, 0)
+        for src, _, dst in utg.edges:
+            step[dst] += walks[src]
+        walks = step
+    return finite

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from labelled_spaces import (
 )
 from labelled_spaces import boundary
 from labelled_spaces.boundary import FinitePath, InfinitePath
-from labelled_spaces.transition import _count_canonical_lassos
 from oracles import (
     deterministic_cycles_by_trail,
     finite_boundary_brute,
@@ -50,10 +50,10 @@ class TestFiniteBoundary:
 
 
 class TestFiniteBoundaryTowardSinks:
-    """``_finite_boundary_paths`` walks backwards from each sink
-    (``_backward_chains``), so every chain it grows is a path; the listing
-    that grew every walk forwards (``oracles.finite_boundary_paths_unpruned``)
-    must give the same paths, in the same order."""
+    """The finite boundary paths are the edge walks that end at a sink, grown
+    only while a sink is within reach; the listing that grew every walk
+    (``oracles.finite_boundary_paths_unpruned``) must give the same paths,
+    in the same order."""
 
     @staticmethod
     def graph(rng):
@@ -68,15 +68,14 @@ class TestFiniteBoundaryTowardSinks:
     @given(st.randoms(use_true_random=False), st.integers(0, 6))
     def test_same_paths(self, rng, max_len):
         g = self.graph(rng)
-        assert boundary._finite_boundary_paths(g, max_len) == finite_boundary_paths_unpruned(
-            g, max_len)
+        assert boundary_paths(g, max_len, 0).finite == finite_boundary_paths_unpruned(g, max_len)
 
     def test_draws_with_and_without_sinks(self):
         graphs = [self.graph(random.Random(seed)) for seed in range(200)]
         with_sinks = [g for g in graphs if any(not g.edges_from(v) for v in g.vertices)]
         assert 30 <= len(with_sinks) <= 170
         for g in graphs:
-            assert boundary._finite_boundary_paths(g, 4) == finite_boundary_paths_unpruned(g, 4)
+            assert boundary_paths(g, 4, 0).finite == finite_boundary_paths_unpruned(g, 4)
 
     def test_no_walk_without_sinks(self, monkeypatch, twins3):
         g, _ = twins3
@@ -88,7 +87,7 @@ class TestFiniteBoundaryTowardSinks:
             return edges_from(self, vertex)
 
         monkeypatch.setattr(LabelledGraph, "edges_from", counted)
-        assert boundary._finite_boundary_paths(g, 20) == ()
+        assert boundary_paths(g, 20, 0).finite == ()
         assert calls == []
 
 
@@ -214,10 +213,11 @@ class TestIsolatedPointsAgainstDedup:
     @given(st.randoms(use_true_random=False), st.integers(0, 5))
     def test_count_is_the_listing_length(self, rng, bound):
         g = sparse_graph(rng)
-        rotations = [c[p:] + c[:p] for c in boundary._deterministic_cycles(g)
-                     for p in range(len(c))]
-        assert boundary._count_isolated_points(g, bound, rotations) == len(
-            isolated_points(g, bound))
+        counted = []
+        with mock.patch.object(boundary, "_refuse_past_budget",
+                               lambda n, *_: counted.append(n)):
+            points = isolated_points(g, bound)
+        assert counted == [len(points)]
 
     def test_draws_have_cycles_of_several_lengths(self):
         lengths = {len(c) for s in range(200)
@@ -226,14 +226,14 @@ class TestIsolatedPointsAgainstDedup:
 
     def test_each_path_is_built_once(self, monkeypatch, twins3, single_loop):
         cases = [twins3[0], single_loop[0]] + [sparse_graph(random.Random(s)) for s in range(50)]
-        make = boundary.make_infinite_path
         built = []
 
         def counted(*args):
-            built.append(make(*args))
+            built.append(InfinitePath(*args))
             return built[-1]
 
-        monkeypatch.setattr(boundary, "make_infinite_path", counted)
+        counted.sort_key = InfinitePath.sort_key
+        monkeypatch.setattr(boundary, "InfinitePath", counted)
         for g in cases:
             for bound in (0, 2):
                 built.clear()
@@ -271,20 +271,20 @@ class TestInfiniteBoundaryPruned:
     @given(st.randoms(use_true_random=False), st.integers(0, 3), st.integers(0, 3))
     def test_same_paths_and_count(self, rng, max_len, max_cycle):
         g = sparse_graph(rng)
-        paths = boundary._infinite_boundary_paths(g, max_len, max_cycle)
-        assert by_str(paths) == by_str(recursive_infinite_boundary_paths(g, max_len, max_cycle))
+        rep = boundary_paths(g, max_len, max_cycle)
+        assert by_str(rep.infinite) == by_str(
+            recursive_infinite_boundary_paths(g, max_len, max_cycle))
         assert boundary._boundary_counts(g, max_len, max_cycle) == (
-            len(boundary._finite_boundary_paths(g, max_len)), len(paths))
+            len(rep.finite), len(rep.infinite))
 
     def test_no_walk_into_a_dead_end(self, monkeypatch):
+        # the edges out of each vertex are read once; the one walk is the loop
         calls = counting_edges_from(monkeypatch)
-        assert by_str(boundary._infinite_boundary_paths(LOOP_AND_TAIL, 4, 3)) == [
-            "v0 ([loop]a)^inf"]
-        assert set(calls) == {"v0"}
-        calls.clear()
-        steps = boundary._lasso_steps(LOOP_AND_TAIL)
-        assert _count_canonical_lassos(*steps, 4, 3) == 1
-        assert set(calls) == {"v0"}
+        walks = boundary._edge_walks(LOOP_AND_TAIL)
+        assert [(p, [e.eid for e in c]) for p, c in walks.lassos(4, 3)] == [((), ["loop"])]
+        assert walks.explored == 1
+        assert walks.count(4, 3)[1] == 1
+        assert sorted(calls) == sorted(set(calls))
 
     def test_finite_count(self):
         # one path of each length ends at the sink: along the tail, and past

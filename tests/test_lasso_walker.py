@@ -23,7 +23,6 @@ from labelled_spaces import (
 )
 from labelled_spaces import boundary
 from labelled_spaces.spectra import _spectrum_counts
-from labelled_spaces.transition import _canonical_lassos, _count_canonical_lassos
 from oracles import StepCapExceeded, recursive_infinite_boundary_paths, widened_lassos
 
 # walk extensions after which a draw is skipped: the widened oracle grows
@@ -130,15 +129,15 @@ class TestOutputSensitive:
 
 
 class TestLassoCount:
-    """``_count_canonical_lassos`` counts, without listing them, the lassos
-    the walker lists: on the edges of random graphs and on the (letter,
-    atom) items of random complement-closed spaces."""
+    """The walk system counts, without listing them, the lassos it lists: on
+    the edges of random graphs and on the (letter, atom) items of random
+    complement-closed spaces."""
 
     @settings(max_examples=300, deadline=None)
     @given(random_spaces(), st.integers(0, 4), st.integers(0, 4))
     def test_boundary_paths(self, space, max_prefix, max_cycle):
         g, _ = space
-        assert _count_canonical_lassos(*boundary._lasso_steps(g), max_prefix, max_cycle) == len(
+        assert boundary._edge_walks(g).count(max_prefix, max_cycle)[1] == len(
             boundary_paths(g, max_prefix, max_cycle).infinite)
 
     @settings(max_examples=300, deadline=None)
@@ -146,14 +145,14 @@ class TestLassoCount:
     def test_transition_lassos(self, space, max_prefix, max_cycle):
         _, fam = space
         utg = UltrafilterTransitionGraph(fam)
-        assert _count_canonical_lassos(*utg._lasso_steps(), max_prefix, max_cycle) == len(
+        assert utg._walks.count(max_prefix, max_cycle)[1] == len(
             utg.lassos(max_prefix, max_cycle))
 
     def test_twins3_long_prefix(self, twins3):
         g, fam = twins3
-        steps = boundary._lasso_steps(g)
-        listed = sum(1 for _ in _canonical_lassos(*steps, 20, 2))
-        assert listed == _count_canonical_lassos(*steps, 20, 2) == 75024
+        walks = boundary._edge_walks(g)
+        listed = sum(1 for _ in walks.lassos(20, 2))
+        assert listed == walks.count(20, 2)[1] == 75024
         assert _spectrum_counts(UltrafilterTransitionGraph(fam), 20, 2) == (0, 75024)
 
     @pytest.mark.parametrize("bounds, count", [((30, 2), 9227464), ((25, 3), 1346268)])
@@ -165,9 +164,8 @@ class TestLassoCount:
     def test_long_cycles(self, single_loop, twins3):
         """Primitive cycles only: the lassos of twins3 with no prefix are its
         primitive closed walks, and one loop has one at every cycle bound."""
-        steps = boundary._lasso_steps(single_loop[0])
-        assert _count_canonical_lassos(*steps, 0, 3000) == 1
-        steps = boundary._lasso_steps(twins3[0])
+        assert boundary._edge_walks(single_loop[0]).count(0, 3000)[1] == 1
+        walks = boundary._edge_walks(twins3[0])
         for max_cycle in range(8):
-            assert _count_canonical_lassos(*steps, 0, max_cycle) == sum(
-                1 for _ in _canonical_lassos(*steps, 0, max_cycle))
+            assert walks.count(0, max_cycle)[1] == sum(
+                1 for _ in walks.lassos(0, max_cycle))
