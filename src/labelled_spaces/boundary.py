@@ -46,8 +46,10 @@ class FinitePath(namedtuple("FinitePath", "base edges")):
     def __str__(self):
         if not self.edges:
             return self.base
-        steps = ["-[%s]%s-> %s" % (e.eid, e.label, e.dst) for e in self.edges]
-        return " ".join([self.edges[0].src] + steps)
+        bits = [self.edges[0].src]
+        for e in self.edges:
+            bits.append("-[%s]%s-> %s" % (e.eid, e.label, e.dst))
+        return " ".join(bits)
 
 
 class InfinitePath(namedtuple("InfinitePath", "prefix cycle")):
@@ -118,18 +120,32 @@ class BoundaryReport(namedtuple("BoundaryReport", "finite infinite has_branching
 
 def _edge_walks(g, terminals=None):
     """The walk system on the edges of ``g``: the edges out of an edge's
-    target may follow it, and a finite walk ends with one of ``terminals``,
-    by default with an edge into a sink, as a finite boundary path does."""
-    sing = singular_vertices(g)
-    return _Walks([(e, e.dst) for e in g.edges],
-                  lambda v: [(e, e.dst) for e in g.edges_from(v)],
-                  {e for e in g.edges if e.dst in sing} if terminals is None else terminals)
+    target may follow it, and a finite walk ends with one of ``terminals``
+    (``_Walks``), by default with an edge into a sink, as a finite boundary
+    path does.  Edges into vertices from which no walk reaches a cycle or a
+    terminal edge are left out, so no walk and no arc read enters them: such
+    vertices are peeled off, sinks first, again and again."""
+    if terminals is None:
+        sing = singular_vertices(g)
+        terminals = {e: 0 for e in g.edges if e.dst in sing}
+    left = {v: g.out_degree(v) for v in g.vertices}
+    peel = [v for v, n in left.items() if not n]
+    while peel:
+        for e in g.edges_into(peel.pop()):
+            if e not in terminals:
+                left[e.src] -= 1
+                if not left[e.src]:
+                    peel.append(e.src)
+    return _Walks([(e, e.dst) for e in g.edges if left[e.dst] or e in terminals],
+                  lambda v: [(e, e.dst) for e in g.edges_from(v) if left[e.dst] or e in terminals],
+                  terminals)
 
 
-def _boundary_counts(g, max_len, max_cycle):
-    """The sizes of ``boundary_paths``' finite and infinite lists, counted."""
-    finite, lassos, _ = _edge_walks(g).count(max_len, max_cycle)
-    return len(singular_vertices(g)) + finite, lassos
+def _boundary_counts(g, max_len, max_cycle, walks=None):
+    """The sizes of ``boundary_paths``' finite and infinite lists and the
+    steps their points hold, counted off the edge system ``walks`` of ``g``."""
+    finite, lassos, steps = (walks or _edge_walks(g)).count(max_len, max_cycle)
+    return len(singular_vertices(g)) + finite, lassos, steps
 
 
 def boundary_paths(g, max_len, max_cycle):
@@ -137,11 +153,11 @@ def boundary_paths(g, max_len, max_cycle):
     ``max_len`` and canonical lassos with prefix at most ``max_len`` and cycle
     at most ``max_cycle``.  Past ``LISTING_BUDGET`` points it raises
     ``InputError`` with their exact number instead."""
-    sing, walks = singular_vertices(g), _edge_walks(g)
-    paths, lassos, steps = walks.count(max_len, max_cycle)
-    _refuse_past_budget(len(sing) + paths + lassos, steps,
+    walks = _edge_walks(g)
+    finite, lassos, steps = _boundary_counts(g, max_len, max_cycle, walks)
+    _refuse_past_budget(finite + lassos, steps,
                         "the boundary up to length %d and cycle %d" % (max_len, max_cycle))
-    finite = [FinitePath(v, ()) for v in sing]
+    finite = [FinitePath(v, ()) for v in singular_vertices(g)]
     finite += [FinitePath(edges[0].src, edges) for edges in walks.finite(max_len)]
     return BoundaryReport(
         tuple(sorted(finite, key=FinitePath.sort_key)),
@@ -177,18 +193,18 @@ def isolated_points(g, max_prefix):
     cycle is deterministic; representatives are listed with prefixes of
     length at most ``max_prefix``.  A (chain, rotation) pair is a canonical
     lasso exactly when the chain is empty or enters the cycle from off it,
-    so each point is built once from a walk into a sink or into a cycle from
-    off it, and adds at most a cycle to the steps of its walk.  Past
+    so each point is built once from a walk into a sink, or into a cycle
+    from off it with the rotation there as its terminal steps.  Past
     ``LISTING_BUDGET`` points it raises ``InputError`` with their exact
     number instead.
     """
     sing = singular_vertices(g)
     rotation = {c[p].src: c[p:] + c[:p] for c in _deterministic_cycles(g) for p in range(len(c))}
-    walks = _edge_walks(g, {e for e in g.edges if e.dst in sing
+    walks = _edge_walks(g, {e: len(rotation.get(e.dst, ())) for e in g.edges if e.dst in sing
                             or e.dst in rotation and e.src not in rotation})
     paths, _, steps = walks.count(max_prefix, 0)
-    n = len(sing) + len(rotation) + paths
-    _refuse_past_budget(n, steps + n * max(map(len, rotation.values()), default=0),
+    _refuse_past_budget(len(sing) + len(rotation) + paths,
+                        steps + sum(map(len, rotation.values())),
                         "the isolated part of the boundary up to prefix %d" % max_prefix)
     finite = [FinitePath(v, ()) for v in sing]
     infinite = [InfinitePath((), r) for r in rotation.values()]

@@ -214,6 +214,15 @@ class FiniteFilterFamily:
                 )
 
     @classmethod
+    def _from_walk(cls, fam, word, gens):
+        """A tower read off a walk of the transition graph, whose levels are
+        nonzero elements of their algebras by construction: built without
+        looking up an algebra for each prefix of the word."""
+        tower = cls.__new__(cls)
+        tower.fam, tower.word, tower.gens, tower._complete = fam, word, gens, None
+        return tower
+
+    @classmethod
     def from_top(cls, fam, word, top_gen):
         """Build the complete tower determined by its deepest filter."""
         fam.require_wlr()

@@ -77,13 +77,13 @@ def tight_spectrum(fam, max_word_len, max_cycle_len):
     number instead.
     """
     graph, sink = UltrafilterTransitionGraph(fam), sinks(fam.graph)
-    finite = [FiniteFilterFamily(fam, (), (a,)) for a in fam.report.atoms if a <= sink]
-    walks, lassos, steps = graph._walks.count(max_word_len, max_cycle_len)
+    finite, lassos, steps = _spectrum_counts(graph, max_word_len, max_cycle_len)
     what = "the tight spectrum up to word length %d and cycle %d" % (max_word_len, max_cycle_len)
-    _refuse_past_budget(len(finite) + walks + lassos, steps, what)
+    _refuse_past_budget(finite + lassos, steps, what)
+    finite = [FiniteFilterFamily(fam, (), (a,)) for a in fam.report.atoms if a <= sink]
     level0 = graph._level0()
-    finite += [FiniteFilterFamily(fam, tuple(b for b, _ in walk),
-                                  (level0.get(walk[0]),) + tuple(a for _, a in walk))
+    finite += [FiniteFilterFamily._from_walk(fam, tuple(b for b, _ in walk),
+                                             (level0.get(walk[0]),) + tuple(a for _, a in walk))
                for walk in graph._walks.finite(max_word_len)]
     return TightSpectrum(
         tuple(sorted(finite, key=FiniteFilterFamily.sort_key)),
@@ -93,13 +93,14 @@ def tight_spectrum(fam, max_word_len, max_cycle_len):
 
 
 def _spectrum_counts(graph, max_word_len, max_cycle_len):
-    """The sizes of ``tight_spectrum``'s finite and infinite lists, counted
-    off the graph's walk system.  A finite-type point is a word with a sink
-    atom of its algebra: a walk into a sink atom, or for the empty word one
-    of the family's atoms inside the sinks."""
+    """The sizes of ``tight_spectrum``'s finite and infinite lists and the
+    letters their points hold, counted off the graph's walk system.  A
+    finite-type point is a word with a sink atom of its algebra: a walk into
+    a sink atom, or for the empty word one of the family's atoms inside the
+    sinks."""
     sink = sinks(graph.fam.graph)
-    finite, lassos, _ = graph._walks.count(max_word_len, max_cycle_len)
-    return sum(1 for a in graph.fam.report.atoms if a <= sink) + finite, lassos
+    finite, lassos, steps = graph._walks.count(max_word_len, max_cycle_len)
+    return sum(1 for a in graph.fam.report.atoms if a <= sink) + finite, lassos, steps
 
 
 def _require_phi_hypotheses(fam):
@@ -219,8 +220,8 @@ def _certified_counts(fam, max_len, max_cycle):
     graph = UltrafilterTransitionGraph(fam)
     if not _phi_certified(graph):
         return None
-    bnd = _boundary_counts(fam.graph, max_len, max_cycle)
-    spec = _spectrum_counts(graph, max_len, max_cycle)
+    bnd = _boundary_counts(fam.graph, max_len, max_cycle)[:2]
+    spec = _spectrum_counts(graph, max_len, max_cycle)[:2]
     return bnd + spec if bnd == spec else None
 
 

@@ -7,9 +7,10 @@ disjoint union of its atoms and, by weak left resolvability, r keeps them
 disjoint, so up(A) is the preimage of up(A') under r(., b) for exactly one A.
 Infinite directed paths through the graph, entered with a letter whose range
 matches the first node, are exactly the towers whose levels are all
-ultrafilters, i.e. the infinite-type ultrafilters.  Requires the family to
-be closed under relative complements; for other families the maximal-family
-search over finite words is the supported route.
+ultrafilters, i.e. the infinite-type ultrafilters.
+
+Requires the family to be closed under relative complements; for other
+families the maximal-family search over finite words is the supported route.
 """
 
 from collections import Counter, namedtuple
@@ -76,6 +77,11 @@ class UltrafilterTransitionGraph:
     def predecessors(self, node):
         return tuple(self._pred.get(node, ()))
 
+    def entry_letters(self, node):
+        """Letters that may start a word at this node: their range is the
+        node's range set."""
+        return tuple(b for b, r in self._first.items() if r == node.range_set)
+
     def has_branching_cycles(self):
         """True when some strongly connected component carries two distinct
         cycles; then the infinite paths are not all eventually periodic and
@@ -130,7 +136,7 @@ class UltrafilterTransitionGraph:
         sink = sinks(self.fam.graph)
         return _Walks(self._entries(),
                       lambda node: [((b, dst.atom), dst) for b, dst in self.successors(node)],
-                      {(b, n.atom) for n in self.nodes if n.atom <= sink for b in self._first})
+                      {(b, n.atom): 0 for n in self.nodes if n.atom <= sink for b in self._first})
 
     def format_listing(self):
         lines = ["nodes:"]
@@ -203,17 +209,16 @@ class _Walks:
     """The walk system behind the boundary, its isolated points and the tight
     spectrum: ``starts`` are the (label, state) steps a walk may begin with,
     ``arcs(state)`` the steps that may follow a step into ``state``, and
-    ``terminals`` the labels a finite walk may end with.  Which labels may
-    follow a step must depend on its label alone, so a walk is its label
-    sequence.  ``arcs`` is called once per state, only when an answer needs
-    it.  A listing grows one shared path depth first, builds a tuple only for
-    a walk it outputs, prunes by the steps left, and counts the walks it
-    meets in ``explored``.
+    ``terminals`` maps each label a finite walk may end with to the steps
+    its point holds past the walk (an isolated lasso's cycle, else 0).
+    Which labels may follow a step must depend on its label alone, so a walk
+    is its label sequence.  ``arcs`` is called once per state, only when an
+    answer needs it.  A listing grows one shared path depth first, builds a
+    tuple only for a walk it outputs, and prunes by the steps left.
     """
 
     def __init__(self, starts, arcs, terminals):
         self._steps, self._arcs, self._terminals = starts, arcs, terminals
-        self.explored = 0
 
     @cached_property
     def _graph(self):
@@ -244,19 +249,21 @@ class _Walks:
         live, inner, bound, period = [None] * len(after), {}, {}, {}
         for c, arcs in reversed(strongly_connected_components(  # sinks first
                 range(len(after)), [(x, None, y) for x, ys in enumerate(after) for y in ys])):
-            rows = arcs and {x: dict.fromkeys((y for y in after[x] if y in c), 1) for x in c}
+            if arcs:  # c carries a cycle
+                rows = {x: dict.fromkeys((y for y in after[x] if y in c), 1) for x in c}
+                inner.update(dict.fromkeys(c, rows))
+                bound.update(dict.fromkeys(c, len(c) if arcs == len(c) else None))
             for x in c:
-                live[x] = tuple(y for y in after[x] if rows and y in c or live[y]) or None
-                if rows:
-                    inner[x], bound[x] = rows, (len(c) if arcs == len(c) else None)
-            if rows and all(len(live[x]) == 1 for x in c):
+                live[x] = tuple(y for y in after[x] if arcs and y in c or live[y]) or None
+            if arcs and all(len(live[x]) == 1 for x in c):
                 period.update(dict.fromkeys(c, len(c)))
         # the one clamp of the cycle bound: when no component carries two
         # cycles, no primitive cycle is longer than the largest component
         longest = inf if None in bound.values() else max(bound.values(), default=0)
         return live, inner, bound, longest, period
 
-    def _grow(self, roots, grow):
+    @staticmethod
+    def _grow(roots, grow):
         """Each walk from ``roots``, met depth first as one shared path list
         that the caller reads before it grows by the labels ``grow(path)``."""
         path, stack = [], [iter(roots)]
@@ -267,7 +274,6 @@ class _Walks:
                 stack.pop()
                 continue
             path.append(x)
-            self.explored += 1
             yield path
             stack.append(iter(grow(path)))
 
@@ -317,10 +323,13 @@ class _Walks:
             if n == depth - 1:
                 # its one split will start the cycle at label max_prefix + 1
                 return [y for y in live[x] if (path[max_prefix] if max_prefix < n else y) in live[y]]
-            if n > max_prefix:  # the cycle holds label max_prefix + 1: stay in its component,
-                z = path[max_prefix]  # and go round it once when it carries one cycle
-                return [y for y in live[x] if y in inner.get(z, ())] if n < max_prefix + (
-                    bound.get(z) or depth) else ()
+            if n > max_prefix:
+                # the cycle holds label max_prefix + 1: stay in its component,
+                # and go round it once when it carries one cycle
+                z = path[max_prefix]
+                if n >= max_prefix + (bound.get(z) or depth):
+                    return ()
+                return [y for y in live[x] if y in inner.get(z, ())]
             return live[x]
 
         label = labels.__getitem__
@@ -335,45 +344,68 @@ class _Walks:
     def count(self, max_len, max_cycle):
         """(finite walks, lassos, steps) of ``finite(max_len)`` and
         ``lassos(max_len, max_cycle)``, counted up to ``_COUNT_CAP``: steps
-        bounds their labels, exactly for the finite walks.
+        are the labels of them all and the terminal steps of the finite
+        walks, exact below the cap.
 
-        Walks carried max_len steps gather at one index as they reach a
-        terminal label, and a second index sums the first.  A lasso is, one
-        for one, a walk of max_len + 1 labels, ending at some x, and a
-        primitive closed walk of at most c = max_cycle labels from x: by
-        Möbius inversion (the periodic-point counts of Lind & Marcus, *An
-        Introduction to Symbolic Dynamics and Coding*, 1995), x adds in(x) *
-        sum over d <= c of M(c // d) * closed_d(x), with in(x) the walks
-        ending at x, closed_d(x) the closed walks of d labels from x and M
-        the Mertens function.  Counting stops once in(x) * closed_d(x),
-        which is at most the count, reaches the cap.
+        A lasso is, one for one, a walk of max_len + 1 labels, ending at
+        some x, and a primitive closed walk of at most c = max_cycle labels
+        from x.  By Möbius inversion (the periodic-point counts of Lind &
+        Marcus, *An Introduction to Symbolic Dynamics and Coding*, 1995), x
+        has sum over d <= c of M(c // d) * closed_d(x) of these, holding sum
+        over d of d * closed_d(x) * S(c // d) labels, with closed_d(x) the
+        closed walks of d labels from x, M the Mertens function and S(k) the
+        sum of m * mu(m) over m <= k.  Counting them stops at the cap, which
+        a closed-walk count bounds from below.
+
+        Walks are then carried max_len steps: one index gathers them as they
+        reach a terminal label, and further indices sum that one, the
+        terminal steps, and the walks that end at each x, weighted by its
+        primitive closed walks.  A lasso that fits a prefix bound fits every
+        larger one, so the last sum is max_len times the lassos less the
+        labels of their prefixes.
         """
         max_cycle = max_cycle and min(max_cycle, self._loops[3])
         if not (self._terminals or max_cycle):
             return 0, 0, 0
         labels, after, starts = self._graph
-        done, summed = len(labels), len(labels) + 1
-        rows = [dict.fromkeys(ys + (done,) * (label in self._terminals), 1)
-                for label, ys in zip(labels, after)] + [{done: 1, summed: 1}, {summed: 1}]
-        ends = _advance(Counter(starts), rows, max_len)
-        finite = ends.pop(done, 0)
-        steps = max_len * finite - ends.pop(summed, 0)
         inner, bound = self._loops[1:3] if max_cycle else ({}, {})
-        lassos = 0
-        for x, n in ends.items():
-            if not n or x not in inner:
-                continue
-            top = min(max_cycle, bound[x] or max_cycle)
+        closed_from, capped = {}, set()
+        for x in inner:
             walks, closed = {x: 1}, []
-            for _ in range(top):
+            for _ in range(min(max_cycle, bound[x] or max_cycle)):
                 walks = _times(walks, inner[x])
                 closed.append(walks.get(x, 0))
-                if n * closed[-1] >= _COUNT_CAP:
-                    return finite, _COUNT_CAP, steps
-            mertens = _mertens(top)
-            lassos += n * sum(mertens[top // d] * k for d, k in enumerate(closed, 1))
-        lassos = min(lassos, _COUNT_CAP)
-        return finite, lassos, steps + lassos * (max_len + max_cycle)
+                if closed[-1] >= _COUNT_CAP:
+                    capped.add(x)
+                    break
+            else:
+                closed_from[x] = closed
+        mertens = _mertens(max(map(len, closed_from.values()), default=0))
+        moment = list(accumulate(
+            (m * (mertens[m] - mertens[m - 1]) for m in range(1, len(mertens))), initial=0))
+        primitive, held_by = {}, {}
+        for x, closed in closed_from.items():
+            top = len(closed)
+            primitive[x] = sum(mertens[top // d] * k for d, k in enumerate(closed, 1) if k)
+            held_by[x] = sum(d * k * moment[top // d] for d, k in enumerate(closed, 1) if k)
+        done, summed, held, prefixed = range(len(labels), len(labels) + 4)
+        rows = [dict.fromkeys(ys, 1) for ys in after]
+        for x, label in enumerate(labels):
+            if label in self._terminals:
+                rows[x][done] = 1
+                if self._terminals[label]:
+                    rows[x][held] = self._terminals[label]
+            if primitive.get(x):
+                rows[x][prefixed] = primitive[x]
+        rows += [{done: 1, summed: 1}, {summed: 1}, {held: 1}, {prefixed: 1}]
+        ends = _advance(Counter(starts), rows, max_len)
+        finite = ends.get(done, 0)
+        if any(ends.get(x) for x in capped):
+            return finite, _COUNT_CAP, 0
+        lassos = sum(ends.get(x, 0) * k for x, k in primitive.items())
+        steps = (max_len * (finite + lassos) - ends.get(summed, 0) + ends.get(held, 0)
+                 - ends.get(prefixed, 0) + sum(ends.get(x, 0) * k for x, k in held_by.items()))
+        return finite, min(lassos, _COUNT_CAP), steps
 
 
 def _advance(vec, rows, n):
@@ -410,9 +442,12 @@ def _mertens(n):
 
 
 # the most points ``boundary_paths``, ``isolated_points`` or ``tight_spectrum``
-# lists, and the most steps (edges or letters) the points may hold
+# lists, and the most steps (edges or letters) the points may hold: a listing
+# takes about 17 bytes of peak memory and 0.5 us per step as a command
+# (loops4's boundary of 9,003,000 edges: 157 MB and 4.9 s), so one at the
+# step budget stays near 175 MB and 5 s
 LISTING_BUDGET = 100_000
-_STEP_BUDGET = 3 * 10 ** 6
+_STEP_BUDGET = 10 ** 7
 
 # counts are exact below 10^640 and stop there: Python prints every integer
 # of at most 640 digits, whatever its digit limit
@@ -430,7 +465,7 @@ def _refuse_past_budget(n, steps, what):
         raise InputError("%s has %s points; at most %d are listed"
                          % (what, _count_text(n), LISTING_BUDGET))
     if steps > _STEP_BUDGET:
-        raise InputError("%s has %d points of up to %d steps in all; at most %d steps are listed"
+        raise InputError("%s has %d points of %d steps in all; at most %d steps are listed"
                          % (what, n, steps, _STEP_BUDGET))
 
 

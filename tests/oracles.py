@@ -264,7 +264,7 @@ def widened_lassos(utg, max_prefix, max_cycle, cap=None):
             for b, prev in utg.predecessors(head):
                 if b != need:
                     continue
-                for first in (b for b, r in utg._first.items() if r == prev.range_set):
+                for first in utg.entry_letters(prev):
                     results.append([(first, prev)] + chain)
                 if len(chain) + 1 < bound:
                     for b2, _ in utg.predecessors(prev):

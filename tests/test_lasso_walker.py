@@ -153,13 +153,13 @@ class TestLassoCount:
         walks = boundary._edge_walks(g)
         listed = sum(1 for _ in walks.lassos(20, 2))
         assert listed == walks.count(20, 2)[1] == 75024
-        assert _spectrum_counts(UltrafilterTransitionGraph(fam), 20, 2) == (0, 75024)
+        assert _spectrum_counts(UltrafilterTransitionGraph(fam), 20, 2)[:2] == (0, 75024)
 
     @pytest.mark.parametrize("bounds, count", [((30, 2), 9227464), ((25, 3), 1346268)])
     def test_twins3_counts_past_any_listing(self, twins3, bounds, count):
         g, fam = twins3
-        assert boundary._boundary_counts(g, *bounds) == (0, count)
-        assert _spectrum_counts(UltrafilterTransitionGraph(fam), *bounds) == (0, count)
+        assert boundary._boundary_counts(g, *bounds)[:2] == (0, count)
+        assert _spectrum_counts(UltrafilterTransitionGraph(fam), *bounds)[:2] == (0, count)
 
     def test_long_cycles(self, single_loop, twins3):
         """Primitive cycles only: the lassos of twins3 with no prefix are its

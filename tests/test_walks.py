@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 from labelled_spaces import (
+    Edge,
     LabelledGraph,
     UltrafilterTransitionGraph,
     boundary,
@@ -30,6 +31,7 @@ from labelled_spaces import (
     spectra,
     tight_spectrum,
 )
+from labelled_spaces.boundary import FinitePath
 from labelled_spaces.graph import singular_vertices
 from labelled_spaces.transition import _COUNT_CAP, _advance, _count_text, _times, _Walks
 from test_boundary import LOOP_AND_TAIL, sparse_graph
@@ -88,23 +90,26 @@ class TestAgainstTheReplacedWalkers:
     @settings(max_examples=200, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(0, 5))
     def test_isolated_count(self, rng, max_prefix):
+        # the points counted and the edges they hold, walk and cycle
         g = sparse_graph(rng)
         counted = []
         with mock.patch.object(boundary, "_refuse_past_budget",
-                               lambda n, *_: counted.append(n)):
-            isolated_points(g, max_prefix)
-        assert counted == [oracles.count_isolated_points(g, max_prefix)]
+                               lambda n, steps, _: counted.append((n, steps))):
+            points = isolated_points(g, max_prefix)
+        steps = sum(len(p.edges) if isinstance(p, FinitePath) else len(p.prefix) + len(p.cycle)
+                    for p in points)
+        assert counted == [(oracles.count_isolated_points(g, max_prefix), steps)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(0, 6), st.integers(0, 4))
     def test_steps(self, rng, max_len, max_cycle):
-        # exact for the finite walks; at most max_len + max_cycle per lasso
+        # the labels of every finite walk and every lasso listed
         walks = boundary._edge_walks(sparse_graph(rng))
         finite = sum(map(len, walks.finite(max_len)))
         assert walks.count(max_len, 0)[2] == finite
-        lassos = list(walks.lassos(max_len, max_cycle))
-        assert finite + sum(len(p) + len(c) for p, c in lassos) <= walks.count(
-            max_len, max_cycle)[2] <= finite + len(lassos) * (max_len + max_cycle)
+        lassos = walks.lassos(max_len, max_cycle)
+        assert walks.count(max_len, max_cycle)[2] == finite + sum(
+            len(p) + len(c) for p, c in lassos)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
@@ -151,6 +156,22 @@ def systems(monkeypatch):
 
 
 @pytest.fixture
+def explored(monkeypatch):
+    """The walks each listing explores, one count per listing, in order."""
+    counts = []
+    grow = _Walks._grow
+
+    def counted(roots, more):
+        counts.append(0)
+        for path in grow(roots, more):
+            counts[-1] += 1
+            yield path
+
+    monkeypatch.setattr(_Walks, "_grow", staticmethod(counted))
+    return counts
+
+
+@pytest.fixture
 def arcs_read(monkeypatch):
     """The transition nodes and graph vertices whose arcs are read, in order."""
     read = []
@@ -170,24 +191,25 @@ def arcs_read(monkeypatch):
 
 
 class TestCostFollowsTheOutput:
-    def test_no_arc_read_without_a_point(self, arcs_read, systems, twins3):
+    def test_no_arc_read_without_a_point(self, arcs_read, systems, explored, twins3):
         # twins3 has no sink and no cycle fits a bound of 0
         spec = tight_spectrum(twins3[1], 20, 0)
         assert spec.finite == spec.infinite == ()
         assert arcs_read == []
-        assert [w.explored for w in systems] == [0]
+        assert len(systems) == 1 and explored == []
 
-    def test_single_loop_at_long_bounds(self, arcs_read, systems, single_loop):
+    def test_single_loop_at_long_bounds(self, arcs_read, systems, explored, single_loop):
         g, fam = single_loop
         assert len(boundary_paths(g, 1, 10 ** 6).infinite) == 1
         assert len(tight_spectrum(fam, 1, 10 ** 6).infinite) == 1
         assert len(boundary_paths(g, 10 ** 5, 1).infinite) == 1
-        assert [w.explored for w in systems] == [1, 1, 1]
+        # one lasso listing per system, each exploring one walk
+        assert len(systems) == 3 and explored == [1, 1, 1]
         # one state per system, read once: the vertex, the node, the vertex
         assert len(arcs_read) == 3 and arcs_read[0] == arcs_read[2] == "v"
         # no component branches, so the cycle bound is clamped to 1: one
-        # lasso of 2 steps at most
-        assert boundary._edge_walks(g).count(1, 10 ** 6) == (0, 1, 2)
+        # lasso of one step
+        assert boundary._edge_walks(g).count(1, 10 ** 6) == (0, 1, 1)
 
     def test_states_read_once(self, arcs_read, twins3, loops4):
         for fam in (twins3[1], loops4[1]):
@@ -198,38 +220,38 @@ class TestCostFollowsTheOutput:
             utg._walks.count(6, 3)
             assert len(arcs_read) == len(set(arcs_read)) <= len(utg.nodes)
 
-    def test_cycles_stay_in_their_component(self):
+    def test_cycles_stay_in_their_component(self, explored):
         # the loop at a leads into a component with two cycles that no walk
         # of one label enters: a's lasso is counted and listed at once
         arcs = {"a": [("a", "a"), ("b", "b")], "b": [("b", "b"), ("c", "c")], "c": [("b", "b")]}
-        walks = _Walks([("a", "a")], arcs.__getitem__, set())
+        walks = _Walks([("a", "a")], arcs.__getitem__, {})
         start = time.perf_counter()
         assert walks.count(0, 10 ** 6)[:2] == (0, 1)
         assert list(walks.lassos(0, 40)) == [((), ("a",))]
         assert time.perf_counter() - start < 1
-        assert walks.explored == 1
+        assert explored == [1]
 
-    def test_lasso_walks_stay_in_the_cycle_component(self):
+    def test_lasso_walks_stay_in_the_cycle_component(self, explored):
         # a and a2 carry two cycles, and a also leads into b and c, which
         # carry two more: with no prefix every lasso cycles through a, so
         # walks never leave a's component
         arcs = {"a": [("a", "a"), ("a2", "a2"), ("b", "b")], "a2": [("a", "a")],
                 "b": [("b", "b"), ("c", "c")], "c": [("b", "b")]}
-        walks = _Walks([("a", "a")], arcs.__getitem__, set())
+        walks = _Walks([("a", "a")], arcs.__getitem__, {})
         lassos = list(walks.lassos(0, 12))
         assert len(lassos) == walks.count(0, 12)[1] and all(not p for p, _ in lassos)
         inside, layer = 0, [("a",)]
         for _ in range(12):
             inside += len(layer)
             layer = [w + (y,) for w in layer for y, _ in arcs[w[-1]] if y in ("a", "a2")]
-        assert walks.explored == inside
+        assert explored == [inside]
 
-    def test_finite_walks_grow_toward_a_sink(self, systems):
+    def test_finite_walks_grow_toward_a_sink(self, explored):
         # a loop with a tail of 30 edges into a sink: at length 40 the walks
         # that turn the loop 0 to 10 times before the tail
         finite = boundary_paths(LOOP_AND_TAIL, 40, 1).finite
         assert len(finite) == 41
-        assert systems[0].explored <= sum(len(p.edges) for p in finite) + 1
+        assert explored[0] <= sum(len(p.edges) for p in finite) + 1
 
 
 def run(argv):
@@ -278,13 +300,19 @@ class TestLongBounds:
                        "spectrum: 0 finite + at least 10^640 infinite\nbijection: yes\n")
 
     def test_steps_past_the_budget(self):
-        # 6002 paths of up to 3000 edges: few points, but 9003000 edges
-        code, out, err = run(["boundary", "loops4.lgr", "--max-len", "3000", "--max-cycle", "0"])
+        # 8002 paths of up to 4000 edges: few points, but 16004000 edges
+        code, out, err = run(["boundary", "loops4.lgr", "--max-len", "4000", "--max-cycle", "0"])
         assert (code, out) == (2, "")
-        assert err == ("error: the boundary up to length 3000 and cycle 0 has 6002 points of "
-                       "up to 9003000 steps in all; at most 3000000 steps are listed\n")
+        assert err == ("error: the boundary up to length 4000 and cycle 0 has 8002 points of "
+                       "16004000 steps in all; at most 10000000 steps are listed\n")
         code, out, _ = run(["boundary", "chain7.lgr", "--max-len", "1000000", "--max-cycle", "8"])
         assert code == 0 and out.startswith("finite paths (")
+
+    def test_steps_are_those_listed(self):
+        # four one-edge lassos hold four steps, however long the prefix bound
+        loops = LabelledGraph(list("uvwx"), [Edge("l" + v, v, "a", v) for v in "uvwx"])
+        assert boundary._boundary_counts(loops, 10 ** 6, 1) == (0, 4, 4)
+        assert len(boundary_paths(loops, 10 ** 6, 1).infinite) == 4
 
 
 FIXTURE_FILES = ("chain7.lgr", "loops4.lgr", "loops4_powerset.lgr", "single_loop.lgr",
