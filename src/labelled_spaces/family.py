@@ -38,11 +38,20 @@ closure under relative complements.  A family built as all unions of
 disjoint blocks (``powerset_family``, ``closure``) is a ring by construction:
 its meets are its blocks, so it is accommodating and complement closed, and
 only (c) is checked.
+
+Members are stored as frozensets but built and validated as int masks: with
+n vertices, vertex i of ``g.vertices`` (from 0) has the bit 2^(n-1-i).  The
+canonical (``vkey``) order is the preorder of the tree in which a set's
+children add one vertex after its last, so before R = {i_1 < ... < i_k} come,
+for each j, the prefix {i_1 .. i_(j-1)} and the 2^(n-1-i_(j-1)) - 2^(n-i_j)
+sets that go on with a vertex between i_(j-1) and i_j (i_0 = -1); that sum
+telescopes to R's index, rank(R) = 2^n + k - R - (R & -R), and rank(0) = 0.
+Sorting sorts by rank, and validation costs O(|F|*|V|) int operations.
 """
 
 from .errors import DomainError, InputError, UnsupportedFamilyError
 from .graph import range_of, relative_range
-from .util import Immutable, format_vset, sort_sets, vkey
+from .util import Immutable, format_vset, vkey
 
 
 class ValidationReport(Immutable):
@@ -95,33 +104,52 @@ def validate(g, sets):
     """
     for s in sets:
         g.check_vertices(s)
-    return _validate_members(g, sort_sets(frozenset(s) for s in sets))
+    return _validate_members(g, *_canonical(g, sets))
 
 
-def _validate_members(g, members):
-    """``validate`` on members already deduplicated and in canonical order."""
-    lookup = set(members)
-    meets = {}
-    for a in members:
-        for v in a:
-            meets[v] = meets[v] & a if v in meets else a
-    blocks = sort_sets(meets.values())
-    atoms = tuple(m for m in blocks if all(meets[u] == m for u in m))
+def _layout(g):
+    """(bit, rank): each vertex's bit, and the canonical sort key of masks."""
+    n = len(g.vertices)
+    return ({v: 1 << n - i for i, v in enumerate(g.vertices, 1)},
+            lambda r: r and (1 << n) + r.bit_count() - r - (r & -r))
 
-    lattice = frozenset() in lookup and all(
-        a | m in lookup for a in members for m in blocks if not m <= a
-    )
-    accommodating = (
-        lattice
-        and all(range_of(g, (b,)) in lookup for b in g.alphabet)
-        and all(g.step(m, b) in lookup for m in blocks for b in g.alphabet)
-    )
+
+def _canonical(g, sets):
+    """(members, masks, bit, rank): the distinct sets in canonical order, as
+    frozensets and as masks.  An unknown vertex is refused in the first set,
+    in canonical order, that holds one."""
+    (bit, rank), sets = _layout(g), [frozenset(s) for s in sets]
+    try:
+        by_mask = {_mask(bit, s): s for s in sets}
+    except KeyError:
+        g.check_vertices(min((s for s in sets if not g.vertex_set.issuperset(s)), key=vkey))
+    masks = sorted(by_mask, key=rank)
+    return tuple(map(by_mask.__getitem__, masks)), masks, bit, rank
+
+
+def _validate_members(g, members, masks, bit, rank):
+    """``validate`` on distinct members in canonical order, with their masks."""
+    lookup, meets, by_meet = set(masks), {}, {}
+    for s, a in zip(members, masks):
+        for v in s:
+            meets[v] = meets.get(v, a) & a
+    for v, m in meets.items():
+        by_meet.setdefault(m, []).append(v)
+    blocks = sorted(by_meet, key=rank)
+    # a meet is minimal iff it is the meet of each of its vertices
+    atoms = [frozenset(by_meet[m]) for m in blocks if len(by_meet[m]) == m.bit_count()]
+
+    lattice = 0 in lookup and all(lookup.issuperset(map(m.__or__, masks)) for m in blocks)
+    tops = [g.vertex_set] + [frozenset(v for v, x in bit.items() if m & x) for m in blocks]
+    accommodating = lattice and all(  # the letter ranges r(V, b), then (b)
+        _mask(bit, g.step(t, b)) in lookup for t in tops for b in g.alphabet)
     ring = lattice and len(atoms) == len(blocks)
 
     found = {
-        "accommodating": None if accommodating else _accommodating_witness(g, members, lookup),
-        "weakly_left_resolving": _wlr_witness(members, _suspects(g, meets)),
-        "complement_closed": None if ring else _complement_witness(members, lookup),
+        "accommodating": None if accommodating else _accommodating_witness(
+            g, members, masks, lookup, bit),
+        "weakly_left_resolving": _wlr_witness(members, masks, _suspects(g, meets, bit), rank),
+        "complement_closed": None if ring else _complement_witness(members, masks, lookup),
     }
     witnesses = {name: w for name, w in found.items() if w is not None}
     return ValidationReport(
@@ -129,47 +157,50 @@ def _validate_members(g, members):
         "weakly_left_resolving" not in witnesses,
         "complement_closed" not in witnesses,
         witnesses,
-        atoms,
+        tuple(atoms),
     )
 
 
-def _suspects(g, meets):
-    """The (letter, vertex) pairs, in order, with their letter-predecessors,
-    at which the weak-left-resolving check can fail by (c)."""
+def _mask(bit, vset):
+    return sum(map(bit.__getitem__, vset))
+
+
+def _suspects(g, meets, bit):
+    """The (letter, vertex) pairs, in order, with the mask of their
+    letter-predecessors, at which the weak-left-resolving check can fail by
+    (c): those where two traces M_u & S of the covered sources u meet not."""
     preds = {}
     for e in g.edges:
         preds.setdefault((e.label, e.dst), set()).add(e.src)
-    return [(bv, srcs) for bv, srcs in sorted(preds.items()) if not _traces_meet(meets, srcs)]
+    for bv, srcs in sorted(preds.items()):
+        s = _mask(bit, srcs)
+        traces = [meets[u] & s for u in srcs if u in meets]
+        if not all(t1 & t2 for i, t1 in enumerate(traces) for t2 in traces[i + 1:]):
+            yield bv, s
 
 
-def _traces_meet(meets, srcs):
-    """Whether the traces M_u & srcs of the covered sources pairwise meet."""
-    traces = [meets[u] & srcs for u in srcs if u in meets]
-    return all(t1 & t2 for i, t1 in enumerate(traces) for t2 in traces[i + 1 :])
-
-
-def _accommodating_witness(g, members, lookup):
+def _accommodating_witness(g, members, masks, lookup, bit):
     """The first accommodating failure: a missing empty set or letter range,
     then a relative range, then a union or intersection of a member pair."""
-    if frozenset() not in lookup:
+    if 0 not in lookup:
         return ("missing empty set",)
     for b in g.alphabet:
-        if range_of(g, (b,)) not in lookup:
+        if _mask(bit, range_of(g, (b,))) not in lookup:
             return ("missing range of letter", b)
     for a in members:
         for b in g.alphabet:
-            if g.step(a, b) not in lookup:
+            if _mask(bit, g.step(a, b)) not in lookup:
                 return ("relative range escapes", a, b)
-    for i, a in enumerate(members):
-        for bset in members[i + 1 :]:
-            if a | bset not in lookup:
-                return ("union escapes", a, bset)
-            if a & bset not in lookup:
-                return ("intersection escapes", a, bset)
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if a | masks[j] not in lookup:
+                return ("union escapes", members[i], members[j])
+            if a & masks[j] not in lookup:
+                return ("intersection escapes", members[i], members[j])
     return None
 
 
-def _wlr_witness(members, suspects):
+def _wlr_witness(members, masks, suspects, rank):
     """Weak left resolving via source traces: for each letter b and vertex v
     (in order), the members' traces on the b-predecessors of v must pairwise
     intersect; a disjoint pair of nonempty traces is exactly a violation of
@@ -177,28 +208,27 @@ def _wlr_witness(members, suspects):
     not pairwise meet are scanned: no other can fail."""
     for (b, _), srcs in suspects:
         traces = {}
-        for a in members:
-            t = frozenset(a & srcs)
-            if t:
-                traces.setdefault(t, a)
-        distinct = sorted(traces, key=vkey)
+        for s, a in zip(members, masks):
+            if a & srcs:
+                traces.setdefault(a & srcs, s)
+        distinct = sorted(traces, key=rank)
         for i, t1 in enumerate(distinct):
             for t2 in distinct[i + 1 :]:
-                if not (t1 & t2):
+                if not t1 & t2:
                     return (traces[t1], traces[t2], b)
     return None
 
 
-def _complement_witness(members, lookup):
+def _complement_witness(members, masks, lookup):
     """The first member pair (A, B), in order, with A - B not a member.
 
     On a lattice that is not a ring the top member already fails (it loses
     a smaller meet nested in a larger one), and only prefixes of its sorted
     vertex list come before it, so the scan stops within |V| + 1 rows."""
-    for a in members:
-        for bset in members:
-            if a - bset not in lookup:
-                return (a, bset)
+    rests = [~b for b in masks]
+    for s, a in zip(members, masks):
+        if not lookup.issuperset(map(a.__and__, rests)):
+            return s, next(t for t, r in zip(members, rests) if a & r not in lookup)
     return None
 
 
@@ -218,10 +248,8 @@ class AccommodatingFamily(Immutable):
 
     def __init__(self, graph, sets, *, _report=None):
         if _report is None:
-            sets = sort_sets(frozenset(s) for s in sets)
-            for s in sets:
-                graph.check_vertices(s)
-            _report = _validate_members(graph, sets)
+            sets, *layout = _canonical(graph, sets)
+            _report = _validate_members(graph, sets, *layout)
         if not _report.accommodating:
             raise InputError(
                 "family is not accommodating: %s" % _report.witness_text("accommodating")
@@ -327,17 +355,19 @@ def _unions(g, blocks):
     if len(blocks) > 16:
         raise InputError("family would have %d members; at most 65536 are supported"
                          % (1 << len(blocks)))
-    sets = [frozenset()]
-    for block in blocks:
-        sets += [s | block for s in sets]
-    # unions of disjoint nonempty blocks are distinct: no deduplication
-    members = tuple(sorted(sets, key=vkey))
-    meets = {v: block for block in blocks for v in block}
-    wlr = _wlr_witness(members, _suspects(g, meets))
+    (bit, rank), by_mask = _layout(g), {0: frozenset()}
+    blocks = {_mask(bit, block): block for block in blocks}
+    for m, block in blocks.items():
+        # unions of disjoint nonempty blocks are distinct: no deduplication
+        by_mask.update([(a | m, s | block) for a, s in by_mask.items()])
+    masks = sorted(by_mask, key=rank)
+    members = tuple(map(by_mask.__getitem__, masks))
+    meets = {v: m for m, block in blocks.items() for v in block}
+    wlr = _wlr_witness(members, masks, _suspects(g, meets, bit), rank)
     report = ValidationReport(
         True, wlr is None, True,
         {} if wlr is None else {"weakly_left_resolving": wlr},
-        tuple(sorted(blocks, key=vkey)),
+        tuple(blocks[m] for m in sorted(blocks, key=rank)),
     )
     return AccommodatingFamily(g, members, _report=report)
 

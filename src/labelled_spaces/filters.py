@@ -16,7 +16,9 @@ them once and bound into both classes.  The core reads a tower only through
 ``_check_levels()`` (the level pairs (n, m) tied by letter n+1),
 ``_phase(n)`` (equal phases mean equal generators followed by equal letters;
 None at the end of a finite word) and ``_with_gens(gens)`` (the tower on the
-same word with new generators).
+same word with new generators).  ``_range_at`` carries the range of each
+level to the next in the tower's ``_ranges``, which starts with the vertex
+set, so each level's algebra is found in one step from the level before.
 """
 
 from functools import reduce
@@ -132,6 +134,14 @@ def _reaches(tower, n, vset):
     return False
 
 
+def _range_at(tower, n):
+    """The range of the first n letters, carried one step per level and kept."""
+    ranges = tower._ranges
+    while len(ranges) <= n:
+        ranges.append(tower.fam.graph.step(ranges[-1], tower.letter(len(ranges))))
+    return ranges[n]
+
+
 def _filter_at(tower, n):
     gen = tower.gen_at(n)
     return None if gen is None else PrincipalFilter(tower.algebra_at(n), gen)
@@ -202,6 +212,7 @@ class FiniteFilterFamily:
         self.word = word
         self.gens = gens
         self._complete = None
+        self._ranges = [fam.graph.vertex_set]
         for n, g in enumerate(gens):
             if g is None:
                 if n > 0:
@@ -214,12 +225,14 @@ class FiniteFilterFamily:
                 )
 
     @classmethod
-    def _from_walk(cls, fam, word, gens):
-        """A tower read off a walk of the transition graph, whose levels are
-        nonzero elements of their algebras by construction: built without
-        looking up an algebra for each prefix of the word."""
+    def _unchecked(cls, fam, word, gens):
+        """The tower on ``word`` with ``gens``, built without checking its
+        levels: for towers read off a walk of the transition graph, whose
+        levels are nonzero elements of their algebras by construction, and
+        for carrying a word's algebras before its generators are known."""
         tower = cls.__new__(cls)
         tower.fam, tower.word, tower.gens, tower._complete = fam, word, gens, None
+        tower._ranges = [fam.graph.vertex_set]
         return tower
 
     @classmethod
@@ -227,11 +240,12 @@ class FiniteFilterFamily:
         """Build the complete tower determined by its deepest filter."""
         fam.require_wlr()
         word = tuple(word)
+        levels = cls._unchecked(fam, word, ())
         gens = [None] * (len(word) + 1)
         gens[len(word)] = frozenset(top_gen)
         for n in range(len(word) - 1, -1, -1):
-            flt = PrincipalFilter(fam.algebra(word[:n + 1]), gens[n + 1])
-            gens[n] = _preimage_gen(fam, fam.algebra(word[:n]), flt.gen, (word[n],))
+            flt = PrincipalFilter(levels.algebra_at(n + 1), gens[n + 1])
+            gens[n] = _preimage_gen(fam, levels.algebra_at(n), flt.gen, (word[n],))
             if gens[n] is None and n > 0:
                 raise DomainError("level %d filter is empty; tower is not valid" % n)
         return cls(fam, word, gens)
@@ -247,7 +261,11 @@ class FiniteFilterFamily:
         return self.word[n - 1]
 
     def algebra_at(self, n):
-        return self.fam.algebra(self.word[:n])
+        """``fam.algebra(word[:n])`` read off the range carried to level n:
+        an empty range past the empty word, which an unknown letter also
+        gives, is refused by ``fam.algebra`` itself."""
+        rng = self.range_at(n)
+        return self.fam.algebra_over(rng) if rng or not n else self.fam.algebra(self.word[:n])
 
     def gen_at(self, n):
         return self.gens[n]
@@ -267,6 +285,7 @@ class FiniteFilterFamily:
     def _with_gens(self, gens):
         return FiniteFilterFamily(self.fam, self.word, gens)
 
+    range_at = _range_at
     filter_at = _filter_at
     is_admissible = _is_admissible
     is_complete = _is_complete
@@ -366,12 +385,6 @@ class LassoFilterFamily:
     def word_prefix(self, n):
         return tuple(self.letter(k) for k in range(1, n + 1))
 
-    def range_at(self, n):
-        while len(self._ranges) <= n:
-            k = len(self._ranges)
-            self._ranges.append(self.fam.graph.step(self._ranges[k - 1], self.letter(k)))
-        return self._ranges[n]
-
     def algebra_at(self, n):
         if n == 0:
             return self.fam.algebra(())
@@ -421,6 +434,7 @@ class LassoFilterFamily:
             f0_gen=gens[0],
         )
 
+    range_at = _range_at
     filter_at = _filter_at
     is_admissible = _is_admissible
     is_complete = _is_complete

@@ -82,7 +82,7 @@ def tight_spectrum(fam, max_word_len, max_cycle_len):
     _refuse_past_budget(finite + lassos, steps, what)
     finite = [FiniteFilterFamily(fam, (), (a,)) for a in fam.report.atoms if a <= sink]
     level0 = graph._level0()
-    finite += [FiniteFilterFamily._from_walk(fam, tuple(b for b, _ in walk),
+    finite += [FiniteFilterFamily._unchecked(fam, tuple(b for b, _ in walk),
                                              (level0.get(walk[0]),) + tuple(a for _, a in walk))
                for walk in graph._walks.finite(max_word_len)]
     return TightSpectrum(

@@ -354,8 +354,11 @@ class _Walks:
         has sum over d <= c of M(c // d) * closed_d(x) of these, holding sum
         over d of d * closed_d(x) * S(c // d) labels, with closed_d(x) the
         closed walks of d labels from x, M the Mertens function and S(k) the
-        sum of m * mu(m) over m <= k.  Counting them stops at the cap, which
-        a closed-walk count bounds from below.
+        sum of m * mu(m) over m <= k.  They are counted only at the labels
+        within max_len arcs of a start, and counting stops at the cap, which
+        a closed-walk count bounds from below: at the first x whose closed
+        walks reach it and at which a walk of max_len + 1 labels ends, the
+        lassos are at the cap.
 
         Walks are then carried max_len steps: one index gathers them as they
         reach a terminal label, and further indices sum that one, the
@@ -368,15 +371,32 @@ class _Walks:
         if not (self._terminals or max_cycle):
             return 0, 0, 0
         labels, after, starts = self._graph
+        done, summed, held, prefixed = range(len(labels), len(labels) + 4)
+        rows = [dict.fromkeys(ys, 1) for ys in after]
+        for x, label in enumerate(labels):
+            if label in self._terminals:
+                rows[x][done] = 1
+                if self._terminals[label]:
+                    rows[x][held] = self._terminals[label]
+        rows += [{done: 1, summed: 1}, {summed: 1}, {held: 1}, {prefixed: 1}]
         inner, bound = self._loops[1:3] if max_cycle else ({}, {})
-        closed_from, capped = {}, set()
-        for x in inner:
+        # the sums read only labels within max_len arcs of a start
+        near, reached = set(starts), set(starts)
+        for _ in range(min(max_len, len(labels))):
+            near = {y for x in near for y in after[x]} - reached
+            reached |= near
+        closed_from, ends = {}, None
+        for x in reached & inner.keys():
             walks, closed = {x: 1}, []
             for _ in range(min(max_cycle, bound[x] or max_cycle)):
                 walks = _times(walks, inner[x])
                 closed.append(walks.get(x, 0))
                 if closed[-1] >= _COUNT_CAP:
-                    capped.add(x)
+                    # the lassos reach the cap once a counted walk ends at x
+                    if ends is None:
+                        ends = _advance(Counter(starts), rows, max_len)
+                    if ends.get(x):
+                        return ends.get(done, 0), _COUNT_CAP, 0
                     break
             else:
                 closed_from[x] = closed
@@ -388,20 +408,10 @@ class _Walks:
             top = len(closed)
             primitive[x] = sum(mertens[top // d] * k for d, k in enumerate(closed, 1) if k)
             held_by[x] = sum(d * k * moment[top // d] for d, k in enumerate(closed, 1) if k)
-        done, summed, held, prefixed = range(len(labels), len(labels) + 4)
-        rows = [dict.fromkeys(ys, 1) for ys in after]
-        for x, label in enumerate(labels):
-            if label in self._terminals:
-                rows[x][done] = 1
-                if self._terminals[label]:
-                    rows[x][held] = self._terminals[label]
-            if primitive.get(x):
+            if primitive[x]:
                 rows[x][prefixed] = primitive[x]
-        rows += [{done: 1, summed: 1}, {summed: 1}, {held: 1}, {prefixed: 1}]
         ends = _advance(Counter(starts), rows, max_len)
         finite = ends.get(done, 0)
-        if any(ends.get(x) for x in capped):
-            return finite, _COUNT_CAP, 0
         lassos = sum(ends.get(x, 0) * k for x, k in primitive.items())
         steps = (max_len * (finite + lassos) - ends.get(summed, 0) + ends.get(held, 0)
                  - ends.get(prefixed, 0) + sum(ends.get(x, 0) * k for x, k in held_by.items()))

@@ -53,11 +53,6 @@ def vkey(members):
     return tuple(sorted(members))
 
 
-def sort_sets(sets):
-    """Deduplicate and order a collection of vertex sets canonically."""
-    return tuple(sorted(set(sets), key=vkey))
-
-
 def format_vset(members):
     return "{%s}" % " ".join(sorted(members))
 

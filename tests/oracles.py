@@ -6,6 +6,15 @@ every subset of an algebra against the definition.
 """
 
 
+def sort_sets(sets):
+    """Deduplicate and order a collection of vertex sets canonically, each
+    by its sorted vertex tuple (``labelled_spaces.util.vkey``): the order
+    that families reach from vertex masks."""
+    from labelled_spaces.util import vkey
+
+    return tuple(sorted(set(sets), key=vkey))
+
+
 def enumerate_paths(g, length):
     """All edge sequences of the given length that chain correctly."""
     paths = [()]
@@ -341,7 +350,7 @@ def validate_by_pairs(g, sets):
     """
     from labelled_spaces.family import ValidationReport
     from labelled_spaces.graph import range_of
-    from labelled_spaces.util import sort_sets, vkey
+    from labelled_spaces.util import vkey
 
     for s in sets:
         g.check_vertices(s)
@@ -629,6 +638,49 @@ def finite_towers_by_words(fam, max_word_len):
         if flt.gen <= sink
     ]
     return tuple(sorted(towers, key=FiniteFilterFamily.sort_key))
+
+
+def tower_gens_by_prefixes(fam, word, gens):
+    """The level checks of ``FiniteFilterFamily`` as it made them before it
+    carried each level's range from the last, kept as their differential
+    oracle: one ``fam.algebra`` lookup of each prefix, O(k^2) in the word
+    length.  Returns the generators, or raises as the constructor does."""
+    from labelled_spaces.errors import DomainError
+    from labelled_spaces.util import format_vset
+
+    gens = tuple(frozenset(g) if g is not None else None for g in gens)
+    if len(gens) != len(word) + 1:
+        raise DomainError("need one filter per level, %d given" % len(gens))
+    if gens[0] is None and not word:
+        raise DomainError("the empty word requires a nonempty level-0 filter")
+    for n, g in enumerate(gens):
+        if g is None:
+            if n > 0:
+                raise DomainError("only the level-0 filter may be empty")
+            continue
+        if not g or g not in fam.algebra(word[:n]):
+            raise DomainError("level %d generator %s is not a nonzero element of its algebra"
+                              % (n, format_vset(g)))
+    return gens
+
+
+def from_top_by_prefixes(fam, word, top_gen):
+    """``FiniteFilterFamily.from_top`` as it was before it carried each
+    level's range from the last: one ``fam.algebra`` lookup of each prefix.
+    Returns the generators, checked by ``tower_gens_by_prefixes``."""
+    from labelled_spaces.errors import DomainError
+    from labelled_spaces.filters import PrincipalFilter, _preimage_gen
+
+    fam.require_wlr()
+    word = tuple(word)
+    gens = [None] * (len(word) + 1)
+    gens[len(word)] = frozenset(top_gen)
+    for n in range(len(word) - 1, -1, -1):
+        flt = PrincipalFilter(fam.algebra(word[:n + 1]), gens[n + 1])
+        gens[n] = _preimage_gen(fam, fam.algebra(word[:n]), flt.gen, (word[n],))
+        if gens[n] is None and n > 0:
+            raise DomainError("level %d filter is empty; tower is not valid" % n)
+    return tower_gens_by_prefixes(fam, word, gens)
 
 
 # The walkers that the walk system of ``labelled_spaces.transition._Walks``

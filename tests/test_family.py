@@ -21,11 +21,12 @@ from labelled_spaces import (
 )
 from labelled_spaces import family, fixtures
 from labelled_spaces.lgrfile import parse_graph_file
-from labelled_spaces.util import sort_sets, vkey
+from labelled_spaces.util import vkey
 from oracles import (
     atoms_by_pairs,
     closure_by_pairs,
     preimage_arcs,
+    sort_sets,
     step_brute,
     validate_by_pairs,
 )
@@ -554,3 +555,107 @@ class TestRestrictedAlgebra:
     def test_nonempty_word_algebra_has_top(self, loops4):
         _, fam = loops4
         assert fam.algebra(("a",)).top == E0
+
+
+def vertex_names(scheme, n):
+    """n vertex names whose string order is not their numeric order once n
+    passes 9: ``v1 v10 v2 ...`` or ``1 10 2 ...``."""
+    return tuple((scheme + "%d") % i for i in range(1, n + 1))
+
+
+def meet_atoms_brute(g, sets):
+    """The minimal per-vertex meets of a collection of sets, in canonical
+    order, each meet intersected out of the members that hold its vertex."""
+    members = sort_sets(frozenset(s) for s in sets)
+    meets = {frozenset.intersection(*[a for a in members if v in a])
+             for v in g.vertices if any(v in a for a in members)}
+    return tuple(sorted((m for m in meets if not any(o < m for o in meets)), key=vkey))
+
+
+class TestMaskCore:
+    """Families are built and validated on vertex masks, the first vertex of
+    ``g.vertices`` on the highest bit, and sorted by the closed-form index
+    of a mask in canonical order; members, flags, witnesses, atoms and
+    refusals must be what the frozenset scans give."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_rank_is_the_canonical_index(self, n):
+        g = LabelledGraph(vertex_names("v", n), ())
+        bit, rank = family._layout(g)
+        subsets = sorted((frozenset(v for v in g.vertices if m & bit[v]) for m in range(1 << n)),
+                         key=vkey)
+        assert [rank(family._mask(bit, s)) for s in subsets] == list(range(1 << n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["v", ""]), st.integers(1, 14), st.data())
+    def test_rank_order_is_vkey_order(self, scheme, n, data):
+        g = LabelledGraph(vertex_names(scheme, n), ())
+        bit, rank = family._layout(g)
+        sets = data.draw(st.lists(st.frozensets(st.sampled_from(g.vertices)), max_size=30))
+        assert sorted(set(sets), key=lambda s: rank(family._mask(bit, s))) == sorted(
+            set(sets), key=vkey)
+
+    @staticmethod
+    def explicit_case(rng):
+        """A ``random_case`` family, its sets shuffled and some repeated."""
+        g, sets = random_case(rng)
+        sets = sets + [sets[rng.randrange(len(sets))] for _ in range(rng.randint(0, 3)) if sets]
+        rng.shuffle(sets)
+        return g, sets
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_same_as_the_pair_scans(self, rng):
+        g, sets = self.explicit_case(rng)
+        report, expected = validate(g, sets), validate_by_pairs(g, sets)
+        assert report == expected and report.atoms == meet_atoms_brute(g, sets)
+        if not expected.accommodating:
+            with pytest.raises(InputError) as caught:
+                AccommodatingFamily(g, sets)
+            assert str(caught.value) == ("family is not accommodating: %s"
+                                         % expected.witness_text("accommodating"))
+            return
+        fam = AccommodatingFamily(g, sets)
+        assert fam.sets == sort_sets(sets)
+        assert fam.report == expected and fam.report.atoms == report.atoms
+
+    def test_draws_are_shuffled_and_repeated(self):
+        draws = [self.explicit_case(random.Random(seed))[1] for seed in range(300)]
+        assert sum(len(set(s)) < len(s) for s in draws) >= 50
+        assert sum(s != sorted(set(s), key=vkey) for s in draws) >= 150
+
+    @pytest.mark.parametrize("sets, family_error, validate_error", [
+        ([{"2", "y"}, {"1", "z"}], "z", "y"),
+        ([{"1", "x"}, {"0"}], "0", "x"),
+        ([set(), {"1"}, {"10", "q", "p"}, {"1", "r"}], "r", "p q"),
+        ([{"2", "y"}, {"2", "y"}, {"10", "x"}], "x", "y"),
+        ([{"2", "b"}, {"2", "a", "c"}], "a c", "b"),
+    ])
+    def test_unknown_vertices(self, sets, family_error, validate_error):
+        # a family refuses the first set in canonical order holding an unknown
+        # vertex, ``validate`` and ``closure`` the first in the order given
+        g = LabelledGraph(("1", "2", "10"), (Edge("e1", "1", "a", "2"),
+                                              Edge("e2", "2", "a", "10")))
+        sets = [frozenset(s) for s in sets]
+        for build, unknown in ((AccommodatingFamily, family_error), (validate, validate_error),
+                               (closure, validate_error)):
+            with pytest.raises(InputError) as caught:
+                build(g, sets)
+            assert str(caught.value) == "unknown vertices: " + unknown
+        with pytest.raises(InputError) as caught:
+            parse_graph_file("vertices 1 2 10\nedge 1 a 2\nfamily explicit {2 y}{}{1 z}\n")
+        assert str(caught.value) == "line 3: unknown vertices: z"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["v", ""]), st.integers(1, 12), st.data())
+    def test_unions_in_canonical_order(self, scheme, n, data):
+        g = LabelledGraph(vertex_names(scheme, n), ())
+        part = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        blocks = [frozenset(v for v, p in zip(g.vertices, part) if p == k) for k in range(1, 5)]
+        blocks = [b for b in blocks if b]
+        unions = {frozenset()}
+        for b in blocks:
+            unions |= {u | b for u in unions}
+        fam = family._unions(g, blocks)
+        assert fam.sets == sort_sets(unions)
+        assert fam.report.atoms == tuple(sorted(blocks, key=vkey))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from labelled_spaces import (
     DomainError,
     FiniteFilterFamily,
+    InputError,
     LassoFilterFamily,
     PrincipalFilter,
     UnsupportedFamilyError,
@@ -14,12 +15,15 @@ from labelled_spaces import (
     is_maximal_complete_family,
     make_element,
     preimage_filter,
+    tight_spectrum,
     ultrafilters,
 )
 from labelled_spaces import fixtures
 from labelled_spaces.filters import parse_filter_family
 from labelled_spaces.semigroup import idempotents_up_to
-from oracles import TowerOracle, filters_brute
+from labelled_spaces.graph import LabelledGraph
+from oracles import TowerOracle, filters_brute, from_top_by_prefixes, tower_gens_by_prefixes
+from test_lasso_walker import random_spaces
 
 
 def fset(*items):
@@ -208,6 +212,113 @@ class TestFiniteFamilies:
         _, fam = chain7
         with pytest.raises(DomainError):
             FiniteFilterFamily(fam, ("a1",), [fset("v1"), fset("v4")])
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: ("ok", the tower's generators) or (error
+    type, message)."""
+    try:
+        value = fn(*args)
+        return "ok", getattr(value, "gens", value)
+    except Exception as exc:  # the refusals themselves are compared
+        return type(exc).__name__, str(exc)
+
+
+class TestTowersCarryTheirRanges:
+    """A finite tower finds each level's algebra from the range of the level
+    before, one step per letter; looking up every prefix's algebra (the
+    oracles ``tower_gens_by_prefixes`` and ``from_top_by_prefixes``, which
+    return generators) must give the same towers and the same refusals."""
+
+    def test_long_word_steps_linearly(self, loops4, monkeypatch):
+        _, fam = loops4
+        calls = [0]
+        step = LabelledGraph.step
+
+        def counted(self, members, letter):
+            calls[0] += 1
+            return step(self, members, letter)
+
+        monkeypatch.setattr(LabelledGraph, "step", counted)
+        k = 2000
+        word = ("a",) * k
+        ff = FiniteFilterFamily.from_top(fam, word, fset("3"))
+        # once from the top and once in the constructor's check, plus the few
+        # relative ranges of single members; a lookup per prefix took k^2 / 2
+        assert calls[0] <= 2 * k + 50, calls[0]
+        assert ff.gens[-2:] == (fset("1"), fset("3"))
+        assert set(ff.gens[:-1]) == {fset("1"), fset("2", "4")}
+        calls[0] = 0
+        built = FiniteFilterFamily(fam, word, ff.gens)
+        assert built == ff
+        assert calls[0] <= k + 50, calls[0]
+        # checking and reading the levels reuses the ranges the check carried
+        calls[0] = 0
+        assert built.is_complete()
+        assert [built.filter_at(n).gen for n in built.levels()] == list(ff.gens)
+        assert calls[0] <= 50, calls[0]
+
+    @staticmethod
+    def draw_tower(data, fam):
+        """A word over the letters and one unknown letter, with a generator
+        per level: mostly a nonzero element of that level's algebra, else an
+        arbitrary, empty or missing set."""
+        letters = list(fam.graph.alphabet) + ["z"]
+        word = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=5)))
+        gens = []
+        for n in range(len(word) + 1):
+            try:
+                elements = [a for a in fam.algebra(word[:n]).elements if a]
+            except (DomainError, InputError):
+                elements = []
+            pick = data.draw(st.integers(0, 9))
+            if elements and pick < 7:
+                gens.append(data.draw(st.sampled_from(elements)))
+            elif pick == 7:
+                gens.append(None)
+            else:
+                gens.append(data.draw(st.frozensets(st.sampled_from(fam.graph.vertices))))
+        return word, gens
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_spaces(), st.data())
+    def test_same_towers_and_refusals(self, space, data):
+        _, fam = space
+        word, gens = self.draw_tower(data, fam)
+        built = outcome(FiniteFilterFamily, fam, word, gens)
+        assert built == outcome(tower_gens_by_prefixes, fam, word, gens)
+        if built[0] == "ok":
+            tower = FiniteFilterFamily(fam, word, gens)
+            assert all(tower.algebra_at(n) is fam.algebra(word[:n]) for n in tower.levels())
+        top = gens[-1] or fset()
+        assert outcome(FiniteFilterFamily.from_top, fam, word, top) == outcome(
+            from_top_by_prefixes, fam, word, top)
+
+    def test_spectrum_towers_read_their_algebras(self, loops4):
+        """``tight_spectrum`` builds its towers off transition-graph walks
+        without the constructor's check; their levels still read the algebra
+        of each prefix, and they are the towers the constructor accepts."""
+        _, fam = loops4
+        for tower in tight_spectrum(fam, 4, 0).finite:
+            assert all(tower.algebra_at(n) is fam.algebra(tower.word[:n])
+                       for n in tower.levels())
+            assert tower.is_complete()
+            assert FiniteFilterFamily(fam, tower.word, tower.gens) == tower
+
+    def test_fixture_refusals(self, chain7, loops4):
+        _, fam = chain7
+        cases = [
+            (("a1", "z", "y"), [fset("v1"), fset("v2", "v4"), fset("v3"), fset("v3")]),
+            (("a1", "a1"), [None, fset("v2", "v4"), fset("v3")]),
+            (("a1", "a2"), [None, fset("v2", "v4"), None]),
+            (("a1", "a2"), [None, fset(), fset("v3")]),
+            (("a1",), [fset("v1"), fset("v4")]),
+        ]
+        for word, gens in cases:
+            built = outcome(FiniteFilterFamily, fam, word, gens)
+            assert built[0] != "ok" and built == outcome(tower_gens_by_prefixes, fam, word, gens)
+            assert outcome(FiniteFilterFamily.from_top, fam, word, gens[-1]) == outcome(
+                from_top_by_prefixes, fam, word, gens[-1])
 
 
 class TestLassoFamilies:

@@ -33,6 +33,8 @@ from labelled_spaces import (
 )
 from labelled_spaces.boundary import FinitePath
 from labelled_spaces.graph import singular_vertices
+from labelled_spaces import transition
+from labelled_spaces.errors import InputError
 from labelled_spaces.transition import _COUNT_CAP, _advance, _count_text, _times, _Walks
 from test_boundary import LOOP_AND_TAIL, sparse_graph
 from test_lasso_walker import random_spaces
@@ -139,6 +141,40 @@ class TestAgainstTheReplacedWalkers:
         assert walks.count(1, 10 ** 6)[1] == walks.count(10 ** 6, 1)[1] == _COUNT_CAP
         assert _count_text(_COUNT_CAP) == "at least 10^640"
         assert _count_text(_COUNT_CAP - 1) == "9" * 640
+
+
+class TestCountsPastTheCap:
+    """At huge cycle bounds the count reads closed walks only at the labels a
+    counted walk reaches, and stops at the first whose closed walks reach the
+    cap and at which a walk of max_len + 1 labels ends.  The counts stay the
+    oracle's, capped at 10^640, and so do the refusals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_spaces(), st.integers(0, 3), st.sampled_from([2200, 3100]))
+    def test_random_spaces(self, space, max_len, max_cycle):
+        g, fam = space
+        lassos = min(oracles.count_canonical_lassos(
+            *oracles.edge_lasso_steps(g), max_len, max_cycle), _COUNT_CAP)
+        assert boundary._edge_walks(g).count(max_len, max_cycle)[1] == lassos
+        finite = oracles.count_finite_boundary_paths(g, max_len)
+        if finite + lassos > transition.LISTING_BUDGET:
+            with pytest.raises(InputError) as caught:
+                boundary_paths(g, max_len, max_cycle)
+            assert str(caught.value) == (
+                "the boundary up to length %d and cycle %d has %s points; at most 100000 are "
+                "listed" % (max_len, max_cycle, _count_text(finite + lassos)))
+        utg = UltrafilterTransitionGraph(fam)
+        assert utg._walks.count(max_len, max_cycle)[1] == min(oracles.count_canonical_lassos(
+            *oracles.transition_lasso_steps(utg), max_len, max_cycle), _COUNT_CAP)
+
+    def test_stops_at_the_first_capped_end(self, twins3):
+        products = []
+        with mock.patch.object(transition, "_times",
+                               lambda *args: products.append(1) or _times(*args)):
+            assert boundary._edge_walks(twins3[0]).count(1, 25000)[1] == _COUNT_CAP
+        # one of the three branching labels reaches the cap after about 3,060
+        # products; counting all three took 9,199
+        assert len(products) < 3500, len(products)
 
 
 @pytest.fixture
