@@ -92,25 +92,18 @@ class UltrafilterTransitionGraph:
         """All infinite-type ultrafilter towers whose canonical lasso fits the
         bounds: prefix length <= max_prefix, cycle length <= max_cycle.
 
-        A tower's level data is its (letter, atom) sequence, a lasso of the
-        graph's walk system (``_walks``), and level 0 is read off its first
-        item (``_level0``): a tower is built only for each lasso returned.
+        A tower's level data is its (letter, atom) sequence, a canonical
+        lasso of the graph's walk system (``_walks``) whose every level is an
+        atom of its algebra, and level 0 is read off its first item
+        (``_level0``): one tower is built, unchecked, for each lasso returned.
         """
-        level0 = self._level0()
-        return tuple(sorted(
-            (
-                LassoFilterFamily(
-                    self.fam,
-                    tuple(b for b, _ in prefix),
-                    tuple(b for b, _ in cycle),
-                    tuple(a for _, a in prefix),
-                    tuple(a for _, a in cycle),
-                    f0_gen=level0.get((prefix or cycle)[0]),
-                )
-                for prefix, cycle in self._walks.lassos(max_prefix, max_cycle)
-            ),
-            key=LassoFilterFamily.sort_key,
-        ))
+        level0, towers = self._level0(), []
+        for prefix, cycle in self._walks.lassos(max_prefix, max_cycle):
+            walk = prefix + cycle
+            towers.append(LassoFilterFamily._unchecked(
+                self.fam, tuple(b for b, _ in walk),
+                (level0.get(walk[0]),) + tuple(a for _, a in walk), len(prefix)))
+        return tuple(sorted(towers, key=LassoFilterFamily.sort_key))
 
     def _level0(self):
         """The level-0 generators of the towers, keyed by the start item

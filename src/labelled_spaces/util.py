@@ -117,11 +117,3 @@ def canonical_lasso(prefix, cycle):
         prefix.pop()
     return tuple(prefix), tuple(cycle)
 
-
-def lasso_value(prefix, cycle, n):
-    """Element at 1-based position ``n`` of the sequence prefix + cycle^inf."""
-    if n < 1:
-        raise IndexError("lasso positions are 1-based")
-    if n <= len(prefix):
-        return prefix[n - 1]
-    return cycle[(n - len(prefix) - 1) % len(cycle)]

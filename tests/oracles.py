@@ -189,6 +189,33 @@ class TowerOracle:
         return self.reaches(len(alpha), p.vset)
 
 
+def node_at(tower, n):
+    """The transition-graph node (range set, generator) of a tower at level
+    n >= 1."""
+    return (tower.range_at(n), tower.gen_at(n))
+
+
+def node_lasso(tower):
+    """A lasso tower's levels as (letter, node) pairs in canonical lasso form.
+
+    The levels are read until one repeats an earlier level both in its place
+    in the letter/generator lasso and in its range set; the node cycle may be
+    a multiple of the letter/generator cycle when the range sets settle with
+    a longer period."""
+    from labelled_spaces.util import canonical_lasso
+
+    p, c = tower.prefix_len, tower.cycle_len
+    seen, pairs, n = {}, [], 1
+    while True:
+        state = (n if n <= p else p + 1 + (n - p - 1) % c, tower.range_at(n))
+        if state in seen:
+            wrap = seen[state]
+            return canonical_lasso(pairs[:wrap - 1], pairs[wrap - 1:])
+        seen[state] = n
+        pairs.append((tower.letter(n), node_at(tower, n)))
+        n += 1
+
+
 class StepCapExceeded(Exception):
     """A widened enumerator below ran past its step cap."""
 

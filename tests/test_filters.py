@@ -22,7 +22,13 @@ from labelled_spaces import fixtures
 from labelled_spaces.filters import parse_filter_family
 from labelled_spaces.semigroup import idempotents_up_to
 from labelled_spaces.graph import LabelledGraph
-from oracles import TowerOracle, filters_brute, from_top_by_prefixes, tower_gens_by_prefixes
+from oracles import (
+    TowerOracle,
+    filters_brute,
+    from_top_by_prefixes,
+    node_lasso,
+    tower_gens_by_prefixes,
+)
 from test_lasso_walker import random_spaces
 
 
@@ -243,8 +249,9 @@ class TestTowersCarryTheirRanges:
         k = 2000
         word = ("a",) * k
         ff = FiniteFilterFamily.from_top(fam, word, fset("3"))
-        # once from the top and once in the constructor's check, plus the few
-        # relative ranges of single members; a lookup per prefix took k^2 / 2
+        # once per level from the top (the check reuses those ranges), plus
+        # the few relative ranges of single members; a lookup per prefix took
+        # k^2 / 2
         assert calls[0] <= 2 * k + 50, calls[0]
         assert ff.gens[-2:] == (fset("1"), fset("3"))
         assert set(ff.gens[:-1]) == {fset("1"), fset("2", "4")}
@@ -294,16 +301,29 @@ class TestTowersCarryTheirRanges:
         assert outcome(FiniteFilterFamily.from_top, fam, word, top) == outcome(
             from_top_by_prefixes, fam, word, top)
 
-    def test_spectrum_towers_read_their_algebras(self, loops4):
+    def test_spectrum_towers_read_their_algebras(self, loops4, twins3):
         """``tight_spectrum`` builds its towers off transition-graph walks
         without the constructor's check; their levels still read the algebra
-        of each prefix, and they are the towers the constructor accepts."""
+        of each prefix, and they are the towers the constructor accepts, the
+        lassos with the same window, level 0 and canonical form."""
         _, fam = loops4
         for tower in tight_spectrum(fam, 4, 0).finite:
             assert all(tower.algebra_at(n) is fam.algebra(tower.word[:n])
                        for n in tower.levels())
             assert tower.is_complete()
             assert FiniteFilterFamily(fam, tower.word, tower.gens) == tower
+        for _, fam in (loops4, twins3):
+            spec = tight_spectrum(fam, 4, 3)
+            assert spec.infinite
+            for tower in spec.infinite:
+                built = LassoFilterFamily(fam, tower.prefix_letters, tower.cycle_letters,
+                                          tower.prefix_gens, tower.cycle_gens, f0_gen=tower.f0_gen)
+                assert built == tower and built.format() == tower.format()
+                assert built.sort_key() == tower.sort_key()
+                assert built._window() == tower._window()
+                assert [tower.algebra_at(n) for n in tower.levels()] == [
+                    built.algebra_at(n) for n in built.levels()]
+                assert tower.is_complete() and is_es_ultrafilter(fam, tower)
 
     def test_fixture_refusals(self, chain7, loops4):
         _, fam = chain7
@@ -319,6 +339,39 @@ class TestTowersCarryTheirRanges:
             assert built[0] != "ok" and built == outcome(tower_gens_by_prefixes, fam, word, gens)
             assert outcome(FiniteFilterFamily.from_top, fam, word, gens[-1]) == outcome(
                 from_top_by_prefixes, fam, word, gens[-1])
+
+
+class TestTopDownCompletion:
+    """A finite tower's completion is the complete tower of its top
+    generator, found by one preimage scan per level from the top down."""
+
+    def test_completion_is_linear_in_the_length(self, loops4, monkeypatch):
+        _, fam = loops4
+        k = 500
+        word = ("a",) * k
+        complete = FiniteFilterFamily.from_top(fam, word, fset("3"))
+        constant = FiniteFilterFamily(fam, word, [E0] * (k + 1))
+        calls = [0]
+
+        def counted(method):
+            def call(*args):
+                calls[0] += 1
+                return method(*args)
+            return call
+
+        monkeypatch.setattr(LabelledGraph, "step", counted(LabelledGraph.step))
+        monkeypatch.setattr(type(fam), "rel_range", counted(type(fam).rel_range))
+        for tower, top in ((complete, fset("3")), (constant, E0)):
+            calls[0] = 0
+            done = tower.completion()
+            # one relative range per level to check admissibility, one per
+            # nonzero element of the level's algebra (7 here) to scan its
+            # preimage; completing bottom up walked from every element
+            # towards the top, about 7 k^2 / 2 relative ranges
+            assert calls[0] <= 10 * k, calls[0]
+            assert done == FiniteFilterFamily.from_top(fam, word, top)
+            assert done.is_complete() and done.completion() == done
+        assert complete.completion() == complete
 
 
 class TestLassoFamilies:
@@ -360,7 +413,7 @@ class TestLassoFamilies:
         # ranges may oscillate with a longer period than the generators
         _, fam = twins3
         lasso = LassoFilterFamily(fam, ("1",), ("0",), (fset("v3"),), (fset("v3"),))
-        prefix_nodes, cycle_nodes = lasso.node_lasso()
+        prefix_nodes, cycle_nodes = node_lasso(lasso)
         assert lasso.cycle_len == 1
         assert len(cycle_nodes) == 2
         assert {node[0] for _, node in cycle_nodes} == {
@@ -568,16 +621,24 @@ TOWER_SPACES = {name: getattr(fixtures, name)()[1] for name in
 @st.composite
 def random_towers(draw):
     """A finite or lasso tower, admissible or not, with each generator drawn
-    from the algebra along the first pass of its word, and its oracle."""
+    from the algebra along the first pass of its word, and its oracle.
+    Finite words of 4 to 12 letters, on which the completion (one pass down
+    from the top) and its definition (every set that some deeper level pulls
+    back to) are furthest apart, mostly draw each generator inside the range
+    of the one before, so that many of them are admissible."""
     fam = TOWER_SPACES[draw(st.sampled_from(sorted(TOWER_SPACES)))]
     g = fam.graph
     lasso = draw(st.booleans())
-    n_pre = draw(st.integers(0, 2 if lasso else 3))
+    n_pre = draw(st.integers(0, 2) if lasso else st.integers(0, 3) | st.integers(4, 12))
+    chained = n_pre > 3 and draw(st.integers(0, 3)) > 0
     rng, pairs = g.vertex_set, []
     for _ in range(n_pre + (draw(st.integers(1, 3)) if lasso else 0)):
-        letter = draw(st.sampled_from([b for b in g.alphabet if g.step(rng, b)]))
-        rng = g.step(rng, letter)
-        pairs.append((letter, draw(st.sampled_from([s for s in fam.sets if s and s <= rng]))))
+        room = pairs[-1][1] if chained and pairs else rng
+        if not any(g.step(room, b) for b in g.alphabet):
+            room = rng
+        letter = draw(st.sampled_from([b for b in g.alphabet if g.step(room, b)]))
+        rng, room = g.step(rng, letter), g.step(room, letter)
+        pairs.append((letter, draw(st.sampled_from([s for s in fam.sets if s and s <= room]))))
     letters, gens = [b for b, _ in pairs], [s for _, s in pairs]
     f0 = draw(st.sampled_from(["derive", None] + [s for s in fam.sets if s]))
     try:
@@ -601,6 +662,9 @@ class TestTowerCore:
     @settings(max_examples=250, deadline=None)
     @given(random_towers())
     def test_matches_the_definitions(self, case):
+        """Admissibility, completeness, idempotent membership and the
+        completion of random towers read as the definitions say
+        (``oracles.TowerOracle``)."""
         fam, tower, oracle = case
         assert tower.is_admissible() == oracle.is_admissible()
         assert tower.is_complete() == oracle.is_complete()

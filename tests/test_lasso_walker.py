@@ -23,7 +23,12 @@ from labelled_spaces import (
 )
 from labelled_spaces import boundary
 from labelled_spaces.spectra import _spectrum_counts
-from oracles import StepCapExceeded, recursive_infinite_boundary_paths, widened_lassos
+from oracles import (
+    StepCapExceeded,
+    node_lasso,
+    recursive_infinite_boundary_paths,
+    widened_lassos,
+)
 
 # walk extensions after which a draw is skipped: the widened oracle grows
 # exponentially with the number of ranges, the walker does not
@@ -72,7 +77,7 @@ class TestAgainstTheWidenedEnumeration:
             reject()
         walked = utg.lassos(max_prefix, max_cycle)
         assert [l.format() for l in walked] == [l.format() for l in expected]
-        assert [l.node_lasso() for l in walked] == [l.node_lasso() for l in expected]
+        assert [node_lasso(l) for l in walked] == [node_lasso(l) for l in expected]
         paths = boundary_paths(g, max_prefix, max_cycle).infinite
         assert [str(p) for p in paths] == [str(p) for p in expected_paths]
 
@@ -102,15 +107,21 @@ class TestWideRangeSpace:
 
 @pytest.fixture
 def towers_built(monkeypatch):
-    """A counter of the LassoFilterFamily objects constructed."""
+    """A counter of the LassoFilterFamily objects constructed, by the
+    checking constructor or by the unchecked builder."""
     built = [0]
-    init = LassoFilterFamily.__init__
+    init, unchecked = LassoFilterFamily.__init__, LassoFilterFamily._unchecked.__func__
 
     def counting(self, *args, **kwargs):
         built[0] += 1
         init(self, *args, **kwargs)
 
+    def counting_unchecked(cls, *args, **kwargs):
+        built[0] += 1
+        return unchecked(cls, *args, **kwargs)
+
     monkeypatch.setattr(LassoFilterFamily, "__init__", counting)
+    monkeypatch.setattr(LassoFilterFamily, "_unchecked", classmethod(counting_unchecked))
     return built
 
 

@@ -49,7 +49,7 @@ def brute_ultra_lassos(fam, pool, max_prefix, max_cycle):
                         continue
                     if fam_obj.prefix_len > max_prefix or fam_obj.cycle_len > max_cycle:
                         continue
-                    if fam_obj.is_complete() and fam_obj.is_ultrafilter_shaped():
+                    if fam_obj.is_complete() and is_es_ultrafilter(fam, fam_obj):
                         found[fam_obj.canonical_key()] = fam_obj
     return found
 
