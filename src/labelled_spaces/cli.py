@@ -2,7 +2,8 @@
 
 Every subcommand takes an .lgr file first; bare names are also resolved
 against the shipped fixtures, so `lspace tight loops4.lgr ...` works from
-anywhere.  Exit codes: 0 success, 1 semantic failure, 2 parse or usage error.
+anywhere.  Exit codes: 0 success, 1 semantic failure or output that cannot be
+written, 2 parse or usage error.
 """
 
 import argparse
@@ -253,12 +254,21 @@ def build_parser(names=tuple(_COMMANDS)):
     return parser
 
 
+# the parsers ``run_command`` has built in this process, by subcommand name, or
+# None for the full parser; parsing leaves a parser as it was, so each is built
+# once.  ``build_parser`` itself stays uncached: its callers may change theirs.
+_PARSERS = {}
+
+
 def run_command(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
     # a known subcommand parses with its own subparser alone; anything else
     # gets them all, so help and "invalid choice" list every subcommand
-    parser = build_parser(argv[:1]) if argv and argv[0] in _COMMANDS else build_parser()
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _PARSERS.get(name)
+    if parser is None:
+        parser = _PARSERS[name] = build_parser() if name is None else build_parser([name])
     try:
         with contextlib.redirect_stdout(out):
             args = parser.parse_args(argv)
@@ -277,8 +287,27 @@ def run_command(argv, out=None, err=None):
         return 1
 
 
+def _to_null_device(stream):
+    """Point ``stream``'s file descriptor at the null device, so what it still
+    buffers is dropped at exit instead of failing again at shutdown."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
 def main():
-    raise SystemExit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk took the output
+        code = 1
+        _to_null_device(sys.stdout)
+        try:
+            sys.stderr.write("error: cannot write output: %s\n" % (exc.strerror or exc))
+            sys.stderr.flush()
+        except OSError:
+            _to_null_device(sys.stderr)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelled_spaces import FiniteFilterFamily, LassoFilterFamily, cli, family, filters
+from labelled_spaces import FiniteFilterFamily, LassoFilterFamily, cli, family, filters, fixtures
 from labelled_spaces.cli import run_command
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -298,7 +298,9 @@ class TestParser:
             assert out.startswith("usage: lspace " + " ".join(argv[:-1])), out
             assert capsys.readouterr() == ("", "")
 
-    def test_known_command_builds_its_parser_alone(self, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The progs of the ``ArgumentParser``s built, from an empty cache."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -307,20 +309,69 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        return built
+
+    def test_known_command_builds_its_parser_alone(self, built):
         argv = GOLDEN_COMMANDS["tight_loops4.txt"]
         assert run(argv)[0] == 0
         # the top-level parser and the ``tight`` subparser; all twelve before
         assert built == ["lspace", "lspace tight"]
 
+    def test_each_parser_is_built_once_per_process(self, built):
+        # one call of every subcommand, then help with every subparser
+        argvs = list({argv[0]: argv for argv in GOLDEN_COMMANDS.values()}.values())
+        argvs.append(["--help"])
+        assert len(argvs) == len(cli._COMMANDS) + 1
+        builds = []
+        for _ in range(20):
+            for argv in argvs:
+                before = len(built)
+                assert run(argv)[0] == 0, argv
+                builds.append(len(built) - before)
+        # ``lspace`` and ``lspace <name>``, then ``lspace`` and all twelve
+        assert builds[:len(argvs)] == [2] * len(cli._COMMANDS) + [len(cli._COMMANDS) + 1]
+        assert not any(builds[len(argvs):]), builds
+        assert len(cli._PARSERS) == len(cli._COMMANDS) + 1
+
     @staticmethod
-    def lspace(*argv):
+    def lspace(*argv, stdout=subprocess.PIPE, unbuffered=False):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run(
             [sys.executable, "-m", "labelled_spaces.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
         )
+
+    @staticmethod
+    def assert_output_lost(proc, reason):
+        # exit 1 and one error line: no traceback, and nothing more at
+        # interpreter shutdown ("Exception ignored ...")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "error: cannot write output: %s\n" % reason, proc.stderr
+
+    # buffered, the write fails at the flush; unbuffered, inside the handler
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_is_one(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.lspace(*GOLDEN_COMMANDS["tight_loops4.txt"], stdout=write_end,
+                               unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        self.assert_output_lost(proc, "Broken pipe")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device_is_one(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = self.lspace(*GOLDEN_COMMANDS["boundary_loops4_powerset.txt"], stdout=full,
+                               unbuffered=unbuffered)
+        self.assert_output_lost(proc, "No space left on device")
 
     def test_usage_error_through_process_streams(self):
         proc = self.lspace("tight", "loops4.lgr", "--max-word", "x")
@@ -358,9 +409,18 @@ def run_streams(argv):
     return answer + (proc_out.getvalue(), proc_err.getvalue())
 
 
+def run_fresh(argv):
+    """``run_streams`` with every subparser built afresh for this call."""
+    build = cli.build_parser
+    with mock.patch.object(cli, "_PARSERS", {}), \
+            mock.patch.object(cli, "build_parser", lambda names=None: build()):
+        return run_streams(argv)
+
+
 def assert_same_as_full_parser(argv):
-    """A call answers as it would with every subparser built, and it builds
-    only the named one when the first token names a subcommand."""
+    """A call answers as it would with every subparser built, with its parser
+    cache cold and warm, and it builds only the named subparser, once, when
+    the first token names a subcommand."""
     build = cli.build_parser
     asked = []
 
@@ -368,15 +428,16 @@ def assert_same_as_full_parser(argv):
         asked.append(tuple(names))
         return build(names)
 
-    with mock.patch.object(cli, "build_parser", recording):
-        answer = run_streams(argv)
-    with mock.patch.object(cli, "build_parser", lambda names=None: build()):
-        assert answer == run_streams(argv), argv
+    with mock.patch.object(cli, "_PARSERS", {}), \
+            mock.patch.object(cli, "build_parser", recording):
+        cold = run_streams(argv)
+        warm = run_streams(argv)
+    assert cold == warm == run_fresh(argv), argv
     if argv and argv[0] in cli._COMMANDS:
         assert asked == [(argv[0],)], argv
     else:
-        assert asked == [tuple(cli._COMMANDS)] and answer[0] in (0, 2), argv
-    return answer
+        assert asked == [tuple(cli._COMMANDS)] and cold[0] in (0, 2), argv
+    return cold
 
 
 def draw_argv(rng):
@@ -413,6 +474,114 @@ class TestOneSubparser:
     )
     def test_edge_argvs(self, argv):
         assert_same_as_full_parser(argv)
+
+    def test_seeded_sequence_on_warm_parsers(self, monkeypatch):
+        """In one process, each call answers as a fresh full parser does,
+        whatever the calls before it left in the parsers it reuses."""
+        rng = random.Random(1)
+        tight = GOLDEN_COMMANDS["tight_loops4.txt"]
+        blocks = [[draw_argv(rng)] for _ in range(150)] + [
+            # each help text reaches its own ``out``
+            [["--help"], ["--help"]],
+            [["tight", "--help"], ["tight", "--help"]],
+            # a usage error, then a valid call of the same subcommand
+            [["tight", "loops4.lgr", "--max-word", "x"], tight],
+            [["refute", "loops4.lgr", "--depth", "0"], GOLDEN_COMMANDS["refute_loops4_fat.txt"]],
+            # explicit bounds, then the defaults again
+            [["isolated", "twins3.lgr", "--max-prefix", "2"],
+             GOLDEN_COMMANDS["isolated_twins3.txt"]],
+            [["tight", "loops4.lgr", "--max-word", "1", "--max-cycle", "0"],
+             ["tight", "loops4.lgr"]],
+            [["validate", "chain7.lgr", "--require", "complements"], ["validate", "chain7.lgr"]],
+        ]
+        rng.shuffle(blocks)
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        for block in blocks:
+            answers = [run_streams(argv) for argv in block]
+            assert answers == [run_fresh(argv) for argv in block], block
+        for argv in (["--help"], ["tight", "--help"]):
+            code, out, err, proc_out, proc_err = run_streams(argv)
+            assert (code, err, proc_out, proc_err) == (0, "", "", "")
+            assert out.startswith("usage: lspace " + " ".join(argv[:-1]))
+        for name in ("tight_loops4.txt", "isolated_twins3.txt", "refute_loops4_fat.txt"):
+            with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
+                assert run(GOLDEN_COMMANDS[name]) == (0, fh.read(), "")
+
+        # a handler patched between calls is seen by the next one, which
+        # gets the default bounds back
+        def patched(args, out):
+            out.write("patched %d %d\n" % (args.max_word, args.max_cycle))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_tight", patched)
+        assert run(["tight", "single_loop.lgr", "--max-cycle", "1"]) == (0, "patched 4 1\n", "")
+        assert run(["tight", "single_loop.lgr", "--max-word", "2"]) == (0, "patched 2 3\n", "")
+        assert run(tight) == (0, "patched 3 2\n", "")
+        assert len(cli._PARSERS) <= len(cli._COMMANDS) + 1
+
+
+# the shipped fixtures, each with a letter it labels an edge with
+FUZZ_FILES = {"loops4": "a", "loops4_powerset": "a", "chain7": "a1", "twins2": "0",
+              "twins3": "1", "single_loop": "a"}
+# bytes inserted into a file: every token of the format, and some it forbids
+FUZZ_BYTES = [b"\xff", b"\x00", b"\n", b"\r", b"\t", b" ", b"{", b"}", b"{}", b":", b"#",
+              b"a", b"1", b"v1", b"vertices ", b"edge ", b"edge 1 a 1\n", b"edge v1 1 v2\n",
+              b"family ", b"powerset", b"closure", b"explicit", b"family powerset\n"]
+
+
+def fuzzed_lgr(rng, data):
+    """``data`` with one or two random edits, each at a random byte or at the
+    start of a line: a truncation, inserted bytes, a deletion, or a line
+    duplicated or deleted."""
+    for _ in range(rng.choice((1, 1, 2))):
+        starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        at = rng.choice(starts) if rng.random() < 0.5 else rng.randrange(len(data) + 1)
+        line = data[at:].split(b"\n", 1)[0] + b"\n"
+        kind = rng.randrange(5)
+        if kind == 0:
+            data = data[:at]
+        elif kind == 1:
+            data = data[:at] + b"".join(rng.choices(FUZZ_BYTES, k=rng.randint(1, 2))) + data[at:]
+        elif kind == 2:
+            data = data[:at] + data[at + rng.randint(1, 12):]
+        elif kind == 3:
+            data = data[:at] + line + data[at:]
+        else:
+            data = data[:at] + data[at + len(line):]
+    return data
+
+
+def test_fuzzed_files_keep_the_cli_contract(tmp_path):
+    """Mutated fixtures, run through the commands that read a file, exit 0,
+    1 or 2; a failure prints one ``error:`` line and a success none, nothing
+    reaches the process's streams, and a rerun answers alike."""
+    rng = random.Random(19)
+    codes = {}
+    for i in range(300):
+        name = rng.choice(sorted(FUZZ_FILES))
+        with open(fixtures.path(name), "rb") as fh:
+            data = fuzzed_lgr(rng, fh.read())
+        path = str(tmp_path / ("%d.lgr" % i))
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for argv in (["validate", path], ["balgebra", path, "--word", FUZZ_FILES[name]],
+                     ["ufgraph", path], ["tight", path, "--max-word", "2", "--max-cycle", "2"],
+                     ["boundary", path, "--max-len", "2", "--max-cycle", "2"],
+                     ["compare", path, "--max-len", "2", "--max-cycle", "2"],
+                     ["isolated", path, "--max-prefix", "2"]):
+            answer = run_streams(argv)
+            code, out, err, proc_out, proc_err = answer
+            where = (argv[0], name, data)
+            assert code in (0, 1, 2), where
+            if code == 0:
+                assert err == "", where
+            else:
+                assert err.startswith("error: ") and err.count("\n") == 1, (where, err)
+            assert (proc_out, proc_err) == ("", ""), where
+            assert run_streams(argv) == answer, where
+            codes[code] = codes.get(code, 0) + 1
+    # both answers and refusals are drawn
+    assert codes.get(0, 0) >= 100 and codes.get(2, 0) >= 300, codes
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
